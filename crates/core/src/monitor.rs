@@ -15,6 +15,8 @@
 //! segment exists either — the same principle as the KST's phantom
 //! directories.
 
+use std::fmt::{Display, Write as _};
+
 use mks_fs::kst::kernel_initiate_dir;
 use mks_fs::pathres::{parse_path, DirInitiator};
 use mks_fs::{Acl, AclMode, BranchKind, FsError, LegacyKstError, QuotaCell, QuotaError};
@@ -26,7 +28,7 @@ use mks_mls::{mls_check, AccessKind, Label, MlsDenied};
 use mks_vm::{MechError, SegControl};
 
 use crate::config::NamingConfig;
-use crate::pressure::{read_pressure, Resource};
+use crate::pressure::{read_pressure, Priority, Resource};
 use crate::world::{KProcId, KernelWorld, KstState};
 
 /// Monitor refusals and failures.
@@ -83,6 +85,71 @@ impl core::fmt::Display for AccessError {
 
 impl std::error::Error for AccessError {}
 
+/// Declares the operations the monitor profiles: each op's span (layer
+/// and label) and its row of static `q.monitor.<op>.<class>` sketch
+/// names, one per [`Priority`] class in [`Priority::ALL`] order. The
+/// names are literals, so opening a profiled span formats nothing.
+macro_rules! monitor_ops {
+    ($($op:ident $name:literal => $layer:ident $label:literal,)+) => {
+        /// A gated operation with a profiled span and a sketch family.
+        #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+        pub enum MonitorOp {
+            $(#[doc = $name] $op,)+
+        }
+
+        impl MonitorOp {
+            /// Every profiled operation.
+            pub const ALL: &'static [MonitorOp] = &[$(MonitorOp::$op),+];
+
+            /// The op's name, as it appears in its sketch names.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(MonitorOp::$op => $name,)+
+                }
+            }
+
+            /// The layer and label of the op's profiled span.
+            fn span_site(self) -> (mks_trace::Layer, &'static str) {
+                match self {
+                    $(MonitorOp::$op => (mks_trace::Layer::$layer, $label),)+
+                }
+            }
+
+            /// The quantile sketch the op's spans land in for callers of
+            /// priority `class`: `q.monitor.<op>.<class>`.
+            pub fn sketch_name(self, class: Priority) -> &'static str {
+                let row = match self {
+                    $(MonitorOp::$op => [
+                        concat!("q.monitor.", $name, ".background"),
+                        concat!("q.monitor.", $name, ".normal"),
+                        concat!("q.monitor.", $name, ".interactive"),
+                        concat!("q.monitor.", $name, ".system"),
+                    ],)+
+                };
+                row[class.index()]
+            }
+        }
+    };
+}
+
+monitor_ops! {
+    Initiate "initiate" => Hw "gate.initiate_segno",
+    InitiateDir "initiate_dir" => Hw "gate.initiate_dir_segno",
+    InitiatePath "initiate_path" => Hw "gate.initiate_path",
+    CreateSegment "create_segment" => Monitor "monitor.create_segment",
+    QuotaGet "quota_get" => Monitor "monitor.quota_get",
+    SetQuota "set_quota" => Monitor "monitor.set_quota",
+    DeleteSegment "delete_segment" => Monitor "monitor.delete_segment",
+    CreateDirectory "create_directory" => Monitor "monitor.create_directory",
+    ListDir "list_dir" => Monitor "monitor.list_dir",
+    Status "status" => Monitor "monitor.status",
+    SetSegmentAcl "set_segment_acl" => Monitor "monitor.set_segment_acl",
+    Terminate "terminate" => Hw "gate.terminate_segno",
+    Read "read" => Monitor "monitor.read",
+    Write "write" => Monitor "monitor.write",
+    CallGate "call_gate" => Monitor "monitor.call_gate",
+}
+
 /// The reference monitor (stateless; all state is in the world).
 pub struct Monitor;
 
@@ -127,7 +194,7 @@ impl Monitor {
     /// Records a reference-monitor verdict in the flight recorder: one
     /// `Verdict` event attributed to the calling principal, plus the
     /// `monitor.granted` / `monitor.denied` counter.
-    fn verdict(world: &KernelWorld, pid: KProcId, what: &str, granted: bool) {
+    fn verdict(world: &KernelWorld, pid: KProcId, what: impl Display, granted: bool) {
         let t = &world.vm.machine.trace;
         let outcome = if granted { "granted" } else { "denied" };
         t.counter_add(
@@ -138,11 +205,15 @@ impl Monitor {
             },
             1,
         );
+        // Rendered into one buffer sized for a verdict line: `format!`
+        // would regrow it piecewise, since `what` is itself formatted.
+        let mut detail = String::with_capacity(64);
+        let _ = write!(detail, "{what}: {outcome}");
         t.event_for(
             mks_trace::Layer::Monitor,
             mks_trace::EventKind::Verdict,
-            &world.proc(pid).user.to_acl_string(),
-            &format!("{what}: {outcome}"),
+            world.proc(pid).principal(),
+            detail,
         );
     }
 
@@ -158,10 +229,13 @@ impl Monitor {
     /// queue unbounded work. Every decision — admit or shed — is recorded
     /// as a reference-monitor verdict, so mediation of admitted requests
     /// is checkable from the trace.
+    ///
+    /// `what` is rendered only when a decision is recorded, so a
+    /// disabled admission layer formats nothing.
     fn admit(
         world: &mut KernelWorld,
         pid: KProcId,
-        what: &str,
+        what: impl Display,
     ) -> Result<Option<Cycles>, AccessError> {
         if !world.admission.is_enabled() {
             return Ok(None);
@@ -177,7 +251,7 @@ impl Monitor {
         let priority = world.admission.priority_of(pid);
         let peak = reading.peak();
         let admitted = world.admission.decide(priority, peak);
-        Self::verdict(world, pid, &format!("admit {what}"), admitted);
+        Self::verdict(world, pid, format_args!("admit {what}"), admitted);
         if admitted {
             world.vm.machine.trace.counter_add("admission.admitted", 1);
             let deadline = world
@@ -200,9 +274,6 @@ impl Monitor {
         }
     }
 
-    /// Refuses an operation whose bounded retries ran out (or whose
-    /// deadline passed): audits the give-up as an `Overload` record and
-    /// counts it, so backpressure is reviewable, never silent.
     /// Opens the profiled span for one gated operation. On close (any
     /// exit path — the guard drops), the span's inclusive cycles land in
     /// the `q.monitor.<op>.<class>` quantile sketch, where the class is
@@ -210,23 +281,20 @@ impl Monitor {
     /// into the sketch's exemplar reservoir — so a tail latency in a
     /// snapshot names who paid it.
     #[must_use = "the profiled span closes when the guard drops"]
-    fn op_span(
-        world: &KernelWorld,
-        pid: KProcId,
-        layer: mks_trace::Layer,
-        label: &str,
-        op: &str,
-    ) -> mks_trace::SpanGuard {
-        let class = world.admission.priority_of(pid).name();
-        let principal = world.proc(pid).user.to_acl_string();
-        world.vm.machine.trace.span_profiled(
-            layer,
-            label,
-            &format!("q.monitor.{op}.{class}"),
-            Some(&principal),
-        )
+    fn op_span(world: &KernelWorld, pid: KProcId, op: MonitorOp) -> mks_trace::SpanGuard {
+        let (layer, label) = op.span_site();
+        let sketch = op.sketch_name(world.admission.priority_of(pid));
+        let principal = Some(world.proc(pid).principal().clone());
+        world
+            .vm
+            .machine
+            .trace
+            .span_profiled(layer, label, sketch, principal)
     }
 
+    /// Refuses an operation whose bounded retries ran out (or whose
+    /// deadline passed): audits the give-up as an `Overload` record and
+    /// counts it, so backpressure is reviewable, never silent.
     fn overload_refusal(world: &mut KernelWorld, pid: KProcId, what: &str) -> AccessError {
         let peak = read_pressure(world).peak();
         world.vm.machine.trace.counter_add("admission.overload", 1);
@@ -252,7 +320,7 @@ impl Monitor {
     ) -> Result<GrantTarget, AccessError> {
         let proc = world.proc(pid);
         let Some(branch) = world.fs.peek_branch(dir_uid, name) else {
-            Self::verdict(world, pid, &format!("access {name}"), false);
+            Self::verdict(world, pid, format_args!("access {name}"), false);
             return Err(AccessError::NoInfo);
         };
         let BranchKind::Segment {
@@ -261,16 +329,16 @@ impl Monitor {
             brackets,
         } = &branch.kind
         else {
-            Self::verdict(world, pid, &format!("access {name}"), false);
+            Self::verdict(world, pid, format_args!("access {name}"), false);
             return Err(AccessError::NoInfo);
         };
         let acl_mode = acl.effective(&proc.user).unwrap_or(AclMode::NULL);
         let mode = combine(acl_mode, &proc.label, &branch.label, world.cfg.mls);
         if !mode.read && !mode.write && !mode.execute {
-            Self::verdict(world, pid, &format!("access {name}"), false);
+            Self::verdict(world, pid, format_args!("access {name}"), false);
             return Err(AccessError::NoInfo);
         }
-        Self::verdict(world, pid, &format!("access {name}"), true);
+        Self::verdict(world, pid, format_args!("access {name}"), true);
         Ok(GrantTarget {
             uid: branch.uid,
             len_words: *len_words,
@@ -351,15 +419,9 @@ impl Monitor {
         dir_segno: SegNo,
         name: &str,
     ) -> Result<SegNo, AccessError> {
-        Self::admit(world, pid, &format!("initiate {name}"))?;
+        Self::admit(world, pid, format_args!("initiate {name}"))?;
         let trace = world.vm.machine.trace.clone();
-        let gate_span = Self::op_span(
-            world,
-            pid,
-            mks_trace::Layer::Hw,
-            "gate.initiate_segno",
-            "initiate",
-        );
+        let gate_span = Self::op_span(world, pid, MonitorOp::Initiate);
         world.vm.machine.charge_gate_crossing();
         let mon_span = trace.span(mks_trace::Layer::Monitor, "monitor.initiate");
         let result = Self::real_dir(world, pid, dir_segno)
@@ -377,7 +439,7 @@ impl Monitor {
                 Err(e)
             }
         };
-        Self::verdict(world, pid, &format!("initiate {name}"), out.is_ok());
+        Self::verdict(world, pid, format_args!("initiate {name}"), out.is_ok());
         mon_span.end();
         gate_span.end();
         out
@@ -393,13 +455,7 @@ impl Monitor {
         name: &str,
     ) -> SegNo {
         let trace = world.vm.machine.trace.clone();
-        let gate_span = Self::op_span(
-            world,
-            pid,
-            mks_trace::Layer::Hw,
-            "gate.initiate_dir_segno",
-            "initiate_dir",
-        );
+        let gate_span = Self::op_span(world, pid, MonitorOp::InitiateDir);
         world.vm.machine.charge_gate_crossing();
         let mon_span = trace.span(mks_trace::Layer::Monitor, "monitor.initiate_dir");
         let (fs, proc) = world.fs_and_proc_mut(pid);
@@ -416,7 +472,7 @@ impl Monitor {
             },
         };
         // Traversal always "succeeds" (phantoms preserve that fiction).
-        Self::verdict(world, pid, &format!("initiate_dir {name}"), true);
+        Self::verdict(world, pid, format_args!("initiate_dir {name}"), true);
         mon_span.end();
         gate_span.end();
         segno
@@ -451,17 +507,16 @@ impl Monitor {
             NamingConfig::InKernel => {
                 // The legacy supervisor does the whole walk behind ONE gate.
                 let trace = world.vm.machine.trace.clone();
-                let gate_span = Self::op_span(
-                    world,
-                    pid,
-                    mks_trace::Layer::Hw,
-                    "gate.initiate_path",
-                    "initiate_path",
-                );
+                let gate_span = Self::op_span(world, pid, MonitorOp::InitiatePath);
                 world.vm.machine.charge_gate_crossing();
                 let mon_span = trace.span(mks_trace::Layer::Monitor, "monitor.initiate_path");
                 let out = Self::initiate_path_in_kernel(world, pid, path);
-                Self::verdict(world, pid, &format!("initiate_path {path}"), out.is_ok());
+                Self::verdict(
+                    world,
+                    pid,
+                    format_args!("initiate_path {path}"),
+                    out.is_ok(),
+                );
                 mon_span.end();
                 gate_span.end();
                 out
@@ -510,14 +565,8 @@ impl Monitor {
         brackets: RingBrackets,
         label: Label,
     ) -> Result<SegNo, AccessError> {
-        Self::admit(world, pid, &format!("create_segment {name}"))?;
-        let _op = Self::op_span(
-            world,
-            pid,
-            mks_trace::Layer::Monitor,
-            "monitor.create_segment",
-            "create_segment",
-        );
+        Self::admit(world, pid, format_args!("create_segment {name}"))?;
+        let _op = Self::op_span(world, pid, MonitorOp::CreateSegment);
         let dir_uid = Self::real_dir(world, pid, dir_segno)?;
         // MLS: creating in a directory is a write to it.
         if world.cfg.mls {
@@ -569,13 +618,7 @@ impl Monitor {
         dir_segno: SegNo,
     ) -> Result<QuotaCell, AccessError> {
         Self::admit(world, pid, "quota_get")?;
-        let _op = Self::op_span(
-            world,
-            pid,
-            mks_trace::Layer::Monitor,
-            "monitor.quota_get",
-            "quota_get",
-        );
+        let _op = Self::op_span(world, pid, MonitorOp::QuotaGet);
         let dir_uid = Self::real_dir(world, pid, dir_segno)?;
         let user = world.proc(pid).user.clone();
         if !world
@@ -603,13 +646,7 @@ impl Monitor {
         limit_pages: u64,
     ) -> Result<(), AccessError> {
         Self::admit(world, pid, "set_quota")?;
-        let _op = Self::op_span(
-            world,
-            pid,
-            mks_trace::Layer::Monitor,
-            "monitor.set_quota",
-            "set_quota",
-        );
+        let _op = Self::op_span(world, pid, MonitorOp::SetQuota);
         let dir_uid = Self::real_dir(world, pid, dir_segno)?;
         let user = world.proc(pid).user.clone();
         if !world
@@ -703,14 +740,8 @@ impl Monitor {
         dir_segno: SegNo,
         name: &str,
     ) -> Result<(), AccessError> {
-        Self::admit(world, pid, &format!("delete_segment {name}"))?;
-        let _op = Self::op_span(
-            world,
-            pid,
-            mks_trace::Layer::Monitor,
-            "monitor.delete_segment",
-            "delete_segment",
-        );
+        Self::admit(world, pid, format_args!("delete_segment {name}"))?;
+        let _op = Self::op_span(world, pid, MonitorOp::DeleteSegment);
         let dir_uid = Self::real_dir(world, pid, dir_segno)?;
         let user = world.proc(pid).user.clone();
         let branch = world
@@ -750,14 +781,8 @@ impl Monitor {
         name: &str,
         label: Label,
     ) -> Result<SegNo, AccessError> {
-        Self::admit(world, pid, &format!("create_directory {name}"))?;
-        let _op = Self::op_span(
-            world,
-            pid,
-            mks_trace::Layer::Monitor,
-            "monitor.create_directory",
-            "create_directory",
-        );
+        Self::admit(world, pid, format_args!("create_directory {name}"))?;
+        let _op = Self::op_span(world, pid, MonitorOp::CreateDirectory);
         let dir_uid = Self::real_dir(world, pid, dir_segno)?;
         if world.cfg.mls {
             let subj = world.proc(pid).label;
@@ -785,13 +810,7 @@ impl Monitor {
         dir_segno: SegNo,
     ) -> Result<Vec<String>, AccessError> {
         Self::admit(world, pid, "list_dir")?;
-        let _op = Self::op_span(
-            world,
-            pid,
-            mks_trace::Layer::Monitor,
-            "monitor.list_dir",
-            "list_dir",
-        );
+        let _op = Self::op_span(world, pid, MonitorOp::ListDir);
         let dir_uid = Self::real_dir(world, pid, dir_segno)?;
         let proc = world.proc(pid);
         if world.cfg.mls {
@@ -818,14 +837,8 @@ impl Monitor {
         dir_segno: SegNo,
         name: &str,
     ) -> Result<BranchStatus, AccessError> {
-        Self::admit(world, pid, &format!("status {name}"))?;
-        let _op = Self::op_span(
-            world,
-            pid,
-            mks_trace::Layer::Monitor,
-            "monitor.status",
-            "status",
-        );
+        Self::admit(world, pid, format_args!("status {name}"))?;
+        let _op = Self::op_span(world, pid, MonitorOp::Status);
         let dir_uid = Self::real_dir(world, pid, dir_segno)?;
         let proc = world.proc(pid);
         if world.cfg.mls {
@@ -874,14 +887,8 @@ impl Monitor {
         name: &str,
         new_acl: Acl<AclMode>,
     ) -> Result<(), AccessError> {
-        Self::admit(world, pid, &format!("set_segment_acl {name}"))?;
-        let _op = Self::op_span(
-            world,
-            pid,
-            mks_trace::Layer::Monitor,
-            "monitor.set_segment_acl",
-            "set_segment_acl",
-        );
+        Self::admit(world, pid, format_args!("set_segment_acl {name}"))?;
+        let _op = Self::op_span(world, pid, MonitorOp::SetSegmentAcl);
         let dir_uid = Self::real_dir(world, pid, dir_segno)?;
         let user = world.proc(pid).user.clone();
         world
@@ -928,13 +935,7 @@ impl Monitor {
         segno: SegNo,
     ) -> Result<(), AccessError> {
         let trace = world.vm.machine.trace.clone();
-        let gate_span = Self::op_span(
-            world,
-            pid,
-            mks_trace::Layer::Hw,
-            "gate.terminate_segno",
-            "terminate",
-        );
+        let gate_span = Self::op_span(world, pid, MonitorOp::Terminate);
         world.vm.machine.charge_gate_crossing();
         let mon_span = trace.span(mks_trace::Layer::Monitor, "monitor.terminate");
         let (_, proc) = world.vm_and_proc_mut(pid);
@@ -951,7 +952,7 @@ impl Monitor {
         Self::verdict(
             world,
             pid,
-            &format!("terminate segno {}", segno.0),
+            format_args!("terminate segno {}", segno.0),
             out.is_ok(),
         );
         mon_span.end();
@@ -1046,13 +1047,7 @@ impl Monitor {
         offset: usize,
     ) -> Result<Word, AccessError> {
         let deadline = Self::admit(world, pid, "read")?;
-        let _op = Self::op_span(
-            world,
-            pid,
-            mks_trace::Layer::Monitor,
-            "monitor.read",
-            "read",
-        );
+        let _op = Self::op_span(world, pid, MonitorOp::Read);
         Self::access_with_fault_service(world, pid, deadline, |w, pid| {
             let (vm, proc) = w.vm_and_proc_mut(pid);
             vm.machine.read(&proc.aspace, proc.ring, segno, offset)
@@ -1068,13 +1063,7 @@ impl Monitor {
         value: Word,
     ) -> Result<(), AccessError> {
         let deadline = Self::admit(world, pid, "write")?;
-        let _op = Self::op_span(
-            world,
-            pid,
-            mks_trace::Layer::Monitor,
-            "monitor.write",
-            "write",
-        );
+        let _op = Self::op_span(world, pid, MonitorOp::Write);
         Self::access_with_fault_service(world, pid, deadline, |w, pid| {
             let (vm, proc) = w.vm_and_proc_mut(pid);
             vm.machine
@@ -1106,21 +1095,15 @@ impl Monitor {
         gate: &str,
         entry: &str,
     ) -> Result<u8, AccessError> {
-        Self::admit(world, pid, &format!("call {gate}${entry}"))?;
-        let _op = Self::op_span(
-            world,
-            pid,
-            mks_trace::Layer::Monitor,
-            "monitor.call_gate",
-            "call_gate",
-        );
+        Self::admit(world, pid, format_args!("call {gate}${entry}"))?;
+        let _op = Self::op_span(world, pid, MonitorOp::CallGate);
         let ring = world.proc(pid).ring;
         let Some(g) = world.gates.gate(gate) else {
-            Self::verdict(world, pid, &format!("call {gate}${entry}"), false);
+            Self::verdict(world, pid, format_args!("call {gate}${entry}"), false);
             return Err(AccessError::UnknownGate);
         };
         if g.entry(entry).is_none() {
-            Self::verdict(world, pid, &format!("call {gate}${entry}"), false);
+            Self::verdict(world, pid, format_args!("call {gate}${entry}"), false);
             return Err(AccessError::UnknownGate);
         }
         if ring > g.callable_from {
@@ -1131,7 +1114,7 @@ impl Monitor {
                     target: format!("{gate}${entry}"),
                 },
             );
-            Self::verdict(world, pid, &format!("call {gate}${entry}"), false);
+            Self::verdict(world, pid, format_args!("call {gate}${entry}"), false);
             return Err(AccessError::GateDenied);
         }
         world
@@ -1139,7 +1122,7 @@ impl Monitor {
             .machine
             .clock
             .advance(world.vm.machine.cost.call_cross_ring);
-        Self::verdict(world, pid, &format!("call {gate}${entry}"), true);
+        Self::verdict(world, pid, format_args!("call {gate}${entry}"), true);
         Ok(g.target_ring)
     }
 

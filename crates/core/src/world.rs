@@ -10,6 +10,7 @@
 //! system was assembled with.
 
 use std::collections::HashMap;
+use std::rc::Rc;
 
 use mks_fs::{FileSystem, KernelKst, LegacyKst, UserId};
 use mks_hw::{AddrSpace, CpuModel, LockId, Machine, RingNo};
@@ -60,6 +61,16 @@ pub struct ProcState {
     /// The user-ring linker (meaningful in the kernel configuration; it is
     /// per-process *private* mechanism).
     pub linker: UserLinker,
+    /// `user` rendered once, at creation: the monitor's trace records
+    /// and profiled spans share this copy instead of rendering per op.
+    principal: Rc<str>,
+}
+
+impl ProcState {
+    /// The principal as rendered in trace records (`Person.Project.tag`).
+    pub fn principal(&self) -> &Rc<str> {
+        &self.principal
+    }
 }
 
 /// Everything the kernel knows.
@@ -223,6 +234,7 @@ impl KernelWorld {
         self.procs.insert(
             pid,
             ProcState {
+                principal: user.to_acl_string().into(),
                 user,
                 label,
                 ring,

@@ -280,7 +280,7 @@ impl FileSystem {
         self.trace = Some(trace);
     }
 
-    fn trace_acl_check(&self, user: &UserId, detail: &str) {
+    fn trace_acl_check(&self, user: &UserId, detail: String) {
         if let Some(t) = &self.trace {
             t.counter_add("fs.acl_checks", 1);
             t.event_for(
@@ -309,7 +309,7 @@ impl FileSystem {
 
     /// The caller's effective mode on directory `dir`.
     pub fn dir_access(&self, dir: SegUid, user: &UserId) -> Result<DirMode, FsError> {
-        self.trace_acl_check(user, &format!("dir {}", dir.0));
+        self.trace_acl_check(user, format!("dir {}", dir.0));
         Ok(self.dir(dir)?.acl.effective(user).unwrap_or(DirMode::NULL))
     }
 
@@ -635,7 +635,7 @@ impl FileSystem {
         name: &str,
         user: &UserId,
     ) -> Result<AclMode, FsError> {
-        self.trace_acl_check(user, &format!("segment {name} in dir {}", dir.0));
+        self.trace_acl_check(user, format!("segment {name} in dir {}", dir.0));
         let b = self.peek_branch(dir, name).ok_or(FsError::NoInfo)?;
         match &b.kind {
             BranchKind::Segment { acl, .. } => Ok(acl.effective(user).unwrap_or(AclMode::NULL)),
@@ -761,7 +761,7 @@ impl FileSystem {
             t.event(
                 mks_trace::Layer::Fs,
                 mks_trace::EventKind::LabelRaise,
-                &format!("salvager raised label of uid {} to {new_label:?}", uid.0),
+                format!("salvager raised label of uid {} to {new_label:?}", uid.0),
             );
         }
         if let Some(node) = self.nodes.get_mut(&dir) {

@@ -142,7 +142,7 @@ impl KernelKst {
             t.event(
                 Layer::Fs,
                 EventKind::KstLookup,
-                &format!(
+                format!(
                     "segno {} {}",
                     segno.0,
                     if hit.is_some() { "hit" } else { "miss" }

@@ -121,7 +121,7 @@ impl FileSystem {
                     t.event(
                         mks_trace::Layer::Fs,
                         mks_trace::EventKind::PageOp,
-                        &format!("INJECTED: {} tear on branch {}", mode.name(), uid.0),
+                        format!("INJECTED: {} tear on branch {}", mode.name(), uid.0),
                     );
                 }
             }
@@ -134,7 +134,7 @@ impl FileSystem {
                 t.event(
                     mks_trace::Layer::Fs,
                     mks_trace::EventKind::PageOp,
-                    &format!("INJECTED: label scribble above branch {}", uid.0),
+                    format!("INJECTED: label scribble above branch {}", uid.0),
                 );
             }
         }

@@ -335,7 +335,7 @@ impl Machine {
                 self.trace.event(
                     Layer::Hw,
                     EventKind::GateTransfer,
-                    &format!("call seg {} ring {} -> {}", seg.0, from_ring, target),
+                    format!("call seg {} ring {} -> {}", seg.0, from_ring, target),
                 );
                 Ok(CallOutcome {
                     new_ring: target,

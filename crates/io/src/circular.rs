@@ -53,7 +53,7 @@ impl<T> CircularBuffer<T> {
         self.trace = Some(trace);
     }
 
-    fn trace_op(&self, counter: &str, detail: &str) {
+    fn trace_op(&self, counter: &str, detail: &'static str) {
         if let Some(t) = &self.trace {
             t.counter_add(counter, 1);
             t.event(mks_trace::Layer::Io, mks_trace::EventKind::BufferOp, detail);

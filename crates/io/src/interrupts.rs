@@ -107,7 +107,7 @@ impl InSituInterrupts {
         m.trace.event(
             mks_trace::Layer::Io,
             mks_trace::EventKind::Interrupt,
-            &format!("in-situ {irq:?}"),
+            format!("in-situ {irq:?}"),
         );
         if let Some(h) = self.handlers.get_mut(&irq) {
             self.stats.shared_touches += u64::from(h(m));
@@ -171,7 +171,7 @@ impl ProcessInterrupts {
         m.trace.event(
             mks_trace::Layer::Io,
             mks_trace::EventKind::Interrupt,
-            &format!("wakeup {irq:?}"),
+            format!("wakeup {irq:?}"),
         );
         match self.channels.get(&irq) {
             Some(e) => {

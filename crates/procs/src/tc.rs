@@ -366,7 +366,7 @@ impl<C: HasMachine> TrafficController<C> {
         m.trace.event(
             mks_trace::Layer::Procs,
             mks_trace::EventKind::IpcSend,
-            &format!("external wakeup on event {}", event.0),
+            format!("external wakeup on event {}", event.0),
         );
         if self.wakeup_is_dropped(ctx, event) {
             return;
@@ -388,7 +388,7 @@ impl<C: HasMachine> TrafficController<C> {
         m.trace.event(
             mks_trace::Layer::Procs,
             mks_trace::EventKind::IpcSend,
-            &format!("INJECTED: wakeup on event {} dropped", event.0),
+            format!("INJECTED: wakeup on event {} dropped", event.0),
         );
         true
     }
@@ -476,7 +476,7 @@ impl<C: HasMachine> TrafficController<C> {
         m.trace.event(
             mks_trace::Layer::Procs,
             mks_trace::EventKind::Dispatch,
-            &format!("vp {}", vp.0),
+            format!("vp {}", vp.0),
         );
         for used in 0..self.cfg.quantum {
             // Borrow the job out of its home so we can pass &mut self data
@@ -514,7 +514,7 @@ impl<C: HasMachine> TrafficController<C> {
                 m.trace.event(
                     mks_trace::Layer::Procs,
                     mks_trace::EventKind::IpcSend,
-                    &format!("wakeup on event {}", e.0),
+                    format!("wakeup on event {}", e.0),
                 );
                 if self.wakeup_is_dropped(ctx, e) {
                     continue;
@@ -539,7 +539,7 @@ impl<C: HasMachine> TrafficController<C> {
                     trace.event(
                         mks_trace::Layer::Procs,
                         mks_trace::EventKind::IpcReceive,
-                        &format!("block on event {}", event.0),
+                        format!("block on event {}", event.0),
                     );
                     let waiter = match self.vprocs[slot].binding {
                         VpBinding::Dedicated => Waiter::Dedicated(vp),

@@ -326,7 +326,7 @@ impl Observatory {
                     kind: AlertKind::LabelRaise,
                     at: record.at,
                     principal: record.principal.clone(),
-                    detail: record.detail.clone(),
+                    detail: record.detail.to_string(),
                 });
             }
             _ => {}
@@ -452,7 +452,7 @@ mod tests {
             kind: EventKind::LabelRaise,
             principal: None,
             span: None,
-            detail: "branch damaged: label raised".to_string(),
+            detail: "branch damaged: label raised".into(),
         });
         assert_eq!(o.alerts().len(), 1);
         assert_eq!(o.alerts()[0].kind, AlertKind::LabelRaise);
@@ -491,7 +491,7 @@ mod tests {
                 kind: EventKind::GateTransfer,
                 principal: None,
                 span: None,
-                detail: "hcs_$initiate".to_string(),
+                detail: "hcs_$initiate".into(),
             });
         }
         assert_eq!(o.hot_gates().estimate("hcs_$initiate"), 5);

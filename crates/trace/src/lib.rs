@@ -42,6 +42,7 @@ pub mod sketch;
 pub mod snapshot;
 pub mod span;
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
@@ -122,7 +123,13 @@ impl FlightRecorder {
         }
     }
 
-    fn append(&mut self, layer: Layer, kind: EventKind, principal: Option<String>, detail: &str) {
+    fn append(
+        &mut self,
+        layer: Layer,
+        kind: EventKind,
+        principal: Option<String>,
+        detail: Cow<'static, str>,
+    ) {
         let record = TraceRecord {
             seq: 0, // assigned by the ring
             at: self.clock.now(),
@@ -130,7 +137,7 @@ impl FlightRecorder {
             kind,
             principal,
             span: self.open.last().map(|s| s.id),
-            detail: detail.to_string(),
+            detail,
         };
         // Analytics ingest every event *before* sampling: the sampler
         // bounds the ring's verbatim memory, never the statistics.
@@ -150,25 +157,30 @@ impl FlightRecorder {
         detail: &str,
     ) {
         let at = self.clock.now();
-        self.quantiles
-            .entry(name.to_string())
-            .or_insert_with(|| QuantileSketch::new(name_seed(name)))
-            .observe(value, at, principal, detail);
+        // Look up before inserting: the key is allocated once, when the
+        // sketch is created, not on every observation.
+        if let Some(sketch) = self.quantiles.get_mut(name) {
+            sketch.observe(value, at, principal, detail);
+        } else {
+            let mut sketch = QuantileSketch::new(name_seed(name));
+            sketch.observe(value, at, principal, detail);
+            self.quantiles.insert(name.to_string(), sketch);
+        }
     }
 
     fn span_begin(
         &mut self,
         layer: Layer,
-        label: &str,
-        profile: Option<(String, Option<String>)>,
+        label: &'static str,
+        profile: Option<(&'static str, Option<Rc<str>>)>,
     ) -> SpanId {
         let id = SpanId(self.next_span);
         self.next_span += 1;
-        self.append(layer, EventKind::SpanBegin, None, label);
+        self.append(layer, EventKind::SpanBegin, None, Cow::Borrowed(label));
         self.open.push(OpenSpan {
             id,
             layer,
-            label: label.to_string(),
+            label,
             start: self.clock.now(),
             child_inclusive: 0,
             children: Vec::new(),
@@ -188,6 +200,10 @@ impl FlightRecorder {
             let now = self.clock.now();
             let inclusive = now - s.start;
             let exclusive = inclusive.saturating_sub(s.child_inclusive);
+            self.append(s.layer, EventKind::SpanEnd, None, Cow::Borrowed(s.label));
+            if let Some((sketch, principal)) = s.profile {
+                self.observe_quantile(sketch, inclusive, principal.as_deref(), s.label);
+            }
             let node = SpanNode {
                 id: s.id,
                 layer: s.layer,
@@ -197,11 +213,6 @@ impl FlightRecorder {
                 exclusive,
                 children: s.children,
             };
-            let (layer, label) = (node.layer, node.label.clone());
-            self.append(layer, EventKind::SpanEnd, None, &label);
-            if let Some((sketch, principal)) = s.profile {
-                self.observe_quantile(&sketch, inclusive, principal.as_deref(), &label);
-            }
             match self.open.last_mut() {
                 Some(parent) => {
                     parent.child_inclusive += inclusive;
@@ -290,22 +301,30 @@ impl TraceHandle {
         self.0.borrow().clock.clone()
     }
 
-    /// Appends an event record with no principal.
-    pub fn event(&self, layer: Layer, kind: EventKind, detail: &str) {
-        self.0.borrow_mut().append(layer, kind, None, detail);
+    /// Appends an event record with no principal. The detail is taken
+    /// as it comes: a static string is borrowed and a formatted one
+    /// moved in, so neither is copied again.
+    pub fn event(&self, layer: Layer, kind: EventKind, detail: impl Into<Cow<'static, str>>) {
+        self.0.borrow_mut().append(layer, kind, None, detail.into());
     }
 
     /// Appends an event record attributed to a principal.
-    pub fn event_for(&self, layer: Layer, kind: EventKind, principal: &str, detail: &str) {
+    pub fn event_for(
+        &self,
+        layer: Layer,
+        kind: EventKind,
+        principal: &str,
+        detail: impl Into<Cow<'static, str>>,
+    ) {
         self.0
             .borrow_mut()
-            .append(layer, kind, Some(principal.to_string()), detail);
+            .append(layer, kind, Some(principal.to_string()), detail.into());
     }
 
     /// Opens a span; it closes when the returned guard drops (or at
     /// [`SpanGuard::end`]). Spans nest by open order.
     #[must_use = "the span closes when the guard drops"]
-    pub fn span(&self, layer: Layer, label: &str) -> SpanGuard {
+    pub fn span(&self, layer: Layer, label: &'static str) -> SpanGuard {
         let id = self.0.borrow_mut().span_begin(layer, label, None);
         SpanGuard {
             handle: self.clone(),
@@ -318,19 +337,22 @@ impl TraceHandle {
     /// `q.<layer>.<op>.<class>`), with `principal` riding into the
     /// sketch's exemplar reservoir. Otherwise identical to
     /// [`TraceHandle::span`].
+    ///
+    /// Both are rendered once by the caller — the sketch name is a
+    /// static, the principal a shared copy — so opening a profiled span
+    /// builds no strings of its own.
     #[must_use = "the span closes when the guard drops"]
     pub fn span_profiled(
         &self,
         layer: Layer,
-        label: &str,
-        sketch: &str,
-        principal: Option<&str>,
+        label: &'static str,
+        sketch: &'static str,
+        principal: Option<Rc<str>>,
     ) -> SpanGuard {
-        let id = self.0.borrow_mut().span_begin(
-            layer,
-            label,
-            Some((sketch.to_string(), principal.map(str::to_string))),
-        );
+        let id = self
+            .0
+            .borrow_mut()
+            .span_begin(layer, label, Some((sketch, principal)));
         SpanGuard {
             handle: self.clone(),
             id,
@@ -600,7 +622,7 @@ mod tests {
         clock.advance(42);
         g.end();
         for i in 0..20 {
-            t.event(Layer::Io, EventKind::BufferOp, &format!("op {i}"));
+            t.event(Layer::Io, EventKind::BufferOp, format!("op {i}"));
         }
         let snap = t.snapshot();
         let json = snap.to_json();

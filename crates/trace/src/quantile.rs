@@ -169,20 +169,21 @@ impl QuantileSketch {
         }
         if value >= self.hot_floor() {
             self.hot_seen += 1;
-            let ex = Exemplar {
+            // The exemplar's strings are copied only when it is kept.
+            let ex = || Exemplar {
                 value,
                 at,
                 principal: principal.map(str::to_string),
                 detail: detail.to_string(),
             };
             if self.exemplars.len() < NR_EXEMPLARS {
-                self.exemplars.push(ex);
+                self.exemplars.push(ex());
             } else {
                 // Algorithm R: replace a random slot with probability
                 // NR_EXEMPLARS / hot_seen.
                 let slot = (self.next_rand() % self.hot_seen) as usize;
                 if slot < NR_EXEMPLARS {
-                    self.exemplars[slot] = ex;
+                    self.exemplars[slot] = ex();
                 }
             }
         }

@@ -1,5 +1,7 @@
 //! Trace record structure: what one flight-recorder entry says.
 
+use std::borrow::Cow;
+
 use crate::clock::Cycles;
 use crate::span::SpanId;
 
@@ -153,5 +155,7 @@ pub struct TraceRecord {
     /// The innermost open span at emit time, if any.
     pub span: Option<SpanId>,
     /// Free-form detail (segment names, fault kinds, verdict text).
-    pub detail: String,
+    /// Static text — span labels, fixed event names — is borrowed, so
+    /// recording it copies nothing.
+    pub detail: Cow<'static, str>,
 }

@@ -19,14 +19,17 @@ pub struct TraceRing {
 }
 
 impl TraceRing {
-    /// Creates a ring holding at most `capacity` records.
+    /// Creates a ring holding at most `capacity` records. Storage is
+    /// not reserved up front: it grows as records arrive and stops at
+    /// `capacity`, so a short-lived world (a replica, a replay target)
+    /// pays only for what it records.
     ///
     /// # Panics
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> TraceRing {
         assert!(capacity > 0, "trace ring needs at least one slot");
         TraceRing {
-            buf: VecDeque::with_capacity(capacity),
+            buf: VecDeque::new(),
             capacity,
             next_seq: 0,
             dropped: 0,
@@ -69,6 +72,10 @@ impl TraceRing {
         if self.buf.len() == self.capacity {
             self.buf.pop_front();
             self.dropped += 1;
+        } else if self.buf.len() == self.buf.capacity() {
+            // Grow geometrically, but never reserve past the bound.
+            let want = (2 * self.buf.len()).max(8).min(self.capacity);
+            self.buf.reserve_exact(want - self.buf.len());
         }
         self.buf.push_back(record);
         seq
@@ -98,7 +105,7 @@ mod tests {
             kind: EventKind::PageOp,
             principal: None,
             span: None,
-            detail: String::new(),
+            detail: "".into(),
         }
     }
 
@@ -118,5 +125,19 @@ mod tests {
             (92..100).collect::<Vec<_>>(),
             "oldest evicted, newest kept, in order"
         );
+
+        // Storage grows on demand: nothing is reserved at creation, and
+        // a small ring still drops exactly its oldest record once full.
+        let mut small = TraceRing::new(3);
+        assert_eq!(small.buf.capacity(), 0, "no storage reserved up front");
+        for i in 0..3 {
+            small.append(rec(i));
+        }
+        assert_eq!(small.dropped(), 0, "room for exactly `capacity` records");
+        small.append(rec(3));
+        assert_eq!(small.dropped(), 1);
+        assert_eq!(small.len(), 3);
+        let seqs: Vec<u64> = small.iter().map(|x| x.seq).collect();
+        assert_eq!(seqs, vec![1, 2, 3], "the oldest record went first");
     }
 }

@@ -129,7 +129,7 @@ mod tests {
             kind: EventKind::BufferOp,
             principal: None,
             span: None,
-            detail: "store".to_string(),
+            detail: "store".into(),
         }
     }
 
@@ -170,7 +170,7 @@ mod tests {
         });
         let denied = TraceRecord {
             kind: EventKind::Verdict,
-            detail: "write denied: *-property violation (write down)".to_string(),
+            detail: "write denied: *-property violation (write down)".into(),
             ..routine(1)
         };
         let fault = TraceRecord {
@@ -189,7 +189,7 @@ mod tests {
         // A granted verdict is routine and may be dropped.
         let granted = TraceRecord {
             kind: EventKind::Verdict,
-            detail: "read granted".to_string(),
+            detail: "read granted".into(),
             ..routine(4)
         };
         assert!(!is_critical(granted.kind, &granted.detail));

@@ -11,6 +11,7 @@
 //! layers without double counting.
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use crate::clock::Cycles;
 use crate::record::Layer;
@@ -25,7 +26,7 @@ pub struct SpanId(pub u64);
 pub(crate) struct OpenSpan {
     pub id: SpanId,
     pub layer: Layer,
-    pub label: String,
+    pub label: &'static str,
     pub start: Cycles,
     /// Sum of direct children's inclusive cycles, accumulated as they
     /// close.
@@ -34,7 +35,9 @@ pub(crate) struct OpenSpan {
     pub children: Vec<SpanNode>,
     /// Profiled spans feed their inclusive cycles into this quantile
     /// sketch at close, with the principal riding into its exemplars.
-    pub profile: Option<(String, Option<String>)>,
+    /// Both are shared, not copied: the name is a static and the
+    /// principal the process's own rendering.
+    pub profile: Option<(&'static str, Option<Rc<str>>)>,
 }
 
 /// A completed span, with its completed children.
@@ -45,7 +48,7 @@ pub struct SpanNode {
     /// Owning layer.
     pub layer: Layer,
     /// Human-readable label (gate entry name, "fault.service", …).
-    pub label: String,
+    pub label: &'static str,
     /// Open time.
     pub start: Cycles,
     /// Total cycles between open and close.

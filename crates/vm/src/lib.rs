@@ -126,7 +126,7 @@ impl VmWorld {
         trace.event(
             mks_trace::Layer::Vm,
             mks_trace::EventKind::FaultService,
-            &format!("steps {steps} latency {latency}"),
+            format!("steps {steps} latency {latency}"),
         );
     }
 

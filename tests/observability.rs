@@ -129,7 +129,7 @@ fn trace_ring_stays_bounded_under_ten_thousand_events() {
     let t = TraceHandle::with_capacity(clock.clone(), capacity);
     for i in 0..10_000u64 {
         clock.advance(1);
-        t.event(Layer::Io, EventKind::BufferOp, &format!("op {i}"));
+        t.event(Layer::Io, EventKind::BufferOp, format!("op {i}"));
     }
     let ring = t.ring_stats();
     assert_eq!(ring.capacity, capacity as u64);
