@@ -9,20 +9,18 @@
 //! ```
 //!
 //! A violation must survive re-measurement to be believed
-//! (`MKS_BENCH_E18_ATTEMPTS`, default 3): a host-noise phase deep
-//! enough to fool every calibration yardstick ends by the next attempt
-//! and the min-merged report recovers, while a real regression is in
-//! the code and regresses every attempt alike.
-//! `MKS_BENCH_E18_TOLERANCE` overrides the 25% default — CI runners
-//! with noisy neighbours can widen it without editing the workflow's
-//! gate logic.
+//! ([`GATE_ATTEMPTS`] = 3 attempts): a host-noise phase deep enough to
+//! fool every calibration yardstick ends by the next attempt and the
+//! min-merged report recovers, while a real regression is in the code
+//! and regresses every attempt alike. The tolerance is the constant
+//! [`GATE_TOLERANCE`] (25%).
 
 use std::path::Path;
 use std::process::ExitCode;
 
 use mks_bench::perf::{
-    attempts_from_env, gate, measure, merge_min, parse_baseline, to_json, tolerance_from_env,
-    PerfConfig, PerfReport,
+    gate, measure, merge_min, parse_baseline, to_json, PerfConfig, PerfReport, GATE_ATTEMPTS,
+    GATE_TOLERANCE,
 };
 
 const BASELINE: &str = "results/BENCH_E18.json";
@@ -74,11 +72,10 @@ fn main() -> ExitCode {
         None
     };
 
-    let tolerance = tolerance_from_env();
     let mut violations = Vec::new();
     if let Some(baseline) = &baseline {
-        violations = gate(&report, baseline, tolerance);
-        for attempt in 1..attempts_from_env() {
+        violations = gate(&report, baseline, GATE_TOLERANCE);
+        for attempt in 1..GATE_ATTEMPTS {
             if violations.is_empty() {
                 break;
             }
@@ -87,7 +84,7 @@ fn main() -> ExitCode {
                 violations.len()
             );
             merge_min(&mut report, &measure(PerfConfig::standard()));
-            violations = gate(&report, baseline, tolerance);
+            violations = gate(&report, baseline, GATE_TOLERANCE);
         }
     }
 
@@ -102,7 +99,7 @@ fn main() -> ExitCode {
     if violations.is_empty() {
         println!(
             "perf gate: every hot path within {:.0}% of the committed baseline",
-            tolerance * 100.0
+            GATE_TOLERANCE * 100.0
         );
         ExitCode::SUCCESS
     } else {

@@ -18,6 +18,8 @@
 
 use std::fmt;
 
+use mks_trace::json::emit_string;
+
 use crate::report::Table;
 
 /// The machine-checked outcome of one claim.
@@ -279,22 +281,24 @@ impl ClaimResult {
     }
 
     fn to_json(&self) -> String {
+        let quoted = |s: &str| {
+            let mut out = String::new();
+            emit_string(s, &mut out);
+            out
+        };
         format!(
-            "{{\"id\":\"{}\",\"experiment\":\"{}\",\"paper_quote\":\"{}\",\
+            "{{\"id\":{},\"experiment\":\"{}\",\"paper_quote\":{},\
              \"shape\":{{\"kind\":\"{}\",{}}},\"measured\":{},\
-             \"measured_desc\":\"{}\",\"verdict\":\"{}\",\"gap_note\":{}}}",
-            json_escape(&self.id),
+             \"measured_desc\":{},\"verdict\":\"{}\",\"gap_note\":{}}}",
+            quoted(&self.id),
             self.experiment,
-            json_escape(self.paper_quote),
+            quoted(self.paper_quote),
             self.expected_shape.kind(),
             self.expected_shape.json_params(),
             json_num(self.measured),
-            json_escape(&self.measured_desc),
+            quoted(&self.measured_desc),
             self.verdict.tag(),
-            match self.gap_note {
-                Some(n) => format!("\"{}\"", json_escape(n)),
-                None => "null".to_string(),
-            }
+            self.gap_note.map_or_else(|| "null".to_string(), quoted)
         )
     }
 }
@@ -307,23 +311,6 @@ fn json_num(x: f64) -> String {
     } else {
         format!("{x}")
     }
-}
-
-/// Escapes a string for embedding in a JSON document.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Verdict totals over a claim set.

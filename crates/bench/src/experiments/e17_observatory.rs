@@ -423,15 +423,6 @@ fn probe_heavy_hitters() -> HeavyHitterProbe {
     }
 }
 
-/// Quiet-seed count: `MKS_SWEEP_SEEDS` bounds wall time in CI.
-fn quiet_seed_count() -> u64 {
-    std::env::var("MKS_SWEEP_SEEDS")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(QUIET_SEEDS_DEFAULT)
-        .max(1)
-}
-
 /// One quiet run: benign mixed traffic with occasional, well-spaced
 /// denials. Returns `(denial_burst alerts, denials produced)`.
 fn run_quiet(seed: u64) -> (u64, u64) {
@@ -530,7 +521,7 @@ pub fn measure() -> Measurement {
     let sampled = run_workload(SAMPLE_RATE);
     let quantiles = probe_quantiles();
     let heavy_hitters = probe_heavy_hitters();
-    let quiet_seeds = quiet_seed_count();
+    let quiet_seeds = crate::sweep_seeds(QUIET_SEEDS_DEFAULT);
     let mut quiet_false_alarms = 0u64;
     let mut quiet_denials = 0u64;
     for seed in 1..=quiet_seeds {

@@ -51,8 +51,7 @@ const SWEEP_POPULATION: u64 = 1_000;
 /// Ops per sweep seed.
 const SWEEP_OPS: u64 = 20_000;
 
-/// Default seeds in the differential sweep; `MKS_SWEEP_SEEDS` overrides
-/// (capped in CI to bound wall time).
+/// Default seeds in the differential sweep; `MKS_SWEEP_SEEDS` overrides.
 const SWEEP_SEEDS_DEFAULT: u64 = 8;
 
 /// The campaign's observations.
@@ -66,15 +65,6 @@ pub struct Measurement {
     pub sweep_mismatches: u64,
     /// Batched audit emission byte-identical to singles.
     pub audit_parity: bool,
-}
-
-/// Sweep-seed count: `MKS_SWEEP_SEEDS` bounds wall time in CI.
-fn sweep_seed_count() -> u64 {
-    std::env::var("MKS_SWEEP_SEEDS")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(SWEEP_SEEDS_DEFAULT)
-        .max(1)
 }
 
 /// Runs the rung ladder, the seed sweep, and the audit-batch parity
@@ -91,7 +81,7 @@ pub fn measure() -> Measurement {
             run_rung(pop, 0xE18, ops)
         })
         .collect();
-    let sweep_seeds = sweep_seed_count();
+    let sweep_seeds = crate::sweep_seeds(SWEEP_SEEDS_DEFAULT);
     let mut sweep_mismatches = 0u64;
     for seed in 1..=sweep_seeds {
         let m = run_rung(SWEEP_POPULATION, seed, SWEEP_OPS);

@@ -219,15 +219,6 @@ fn run_ladder() -> Vec<LadderPoint> {
     CPUS.iter().map(|&n| run_ladder_point(n)).collect()
 }
 
-/// Sweep-seed count: `MKS_SWEEP_SEEDS` bounds wall time in CI.
-fn sweep_seed_count() -> u64 {
-    std::env::var("MKS_SWEEP_SEEDS")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(SWEEP_SEEDS_DEFAULT)
-        .max(1)
-}
-
 fn sweep_cfg(seed: u64, nr_cpus: usize) -> LaneConfig {
     LaneConfig {
         lanes: 3,
@@ -339,7 +330,7 @@ pub fn measure() -> Measurement {
     let rerun = run_ladder();
     let rerun_divergences = ladder.iter().zip(&rerun).filter(|(a, b)| a != b).count() as u64;
 
-    let seeds = sweep_seed_count();
+    let seeds = crate::sweep_seeds(SWEEP_SEEDS_DEFAULT);
     let mut sweep_mismatches = 0u64;
     let mut sweep_cpu_counts = 0u64;
     for seed in 0..seeds {

@@ -703,25 +703,12 @@ pub fn merge_min(report: &mut PerfReport, next: &PerfReport) {
         .max(next.par.calibration_speedup);
 }
 
-/// The gate's tolerance: `MKS_BENCH_E18_TOLERANCE` (a fraction, e.g.
-/// `0.25`) or the default 25%.
-pub fn tolerance_from_env() -> f64 {
-    std::env::var("MKS_BENCH_E18_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|t| t.is_finite() && *t >= 0.0)
-        .unwrap_or(0.25)
-}
+/// The gate's tolerance: a hot path may run up to 25% slower than the
+/// committed baseline.
+pub const GATE_TOLERANCE: f64 = 0.25;
 
-/// How many measurement attempts the gate may take before believing a
-/// violation: `MKS_BENCH_E18_ATTEMPTS` or the default 3. Minimum 1.
-pub fn attempts_from_env() -> u32 {
-    std::env::var("MKS_BENCH_E18_ATTEMPTS")
-        .ok()
-        .and_then(|v| v.parse::<u32>().ok())
-        .unwrap_or(3)
-        .max(1)
-}
+/// Measurement attempts the gate takes before believing a violation.
+pub const GATE_ATTEMPTS: u32 = 3;
 
 #[cfg(test)]
 mod tests {

@@ -36,7 +36,7 @@
 use std::collections::HashSet;
 
 use mks_fs::{Acl, AclMode, BranchKind, DirMode, FileSystem, UserId};
-use mks_hw::{RingBrackets, SegNo, SegUid, SplitMix64, Word};
+use mks_hw::{Fnv64, RingBrackets, SegNo, SegUid, SplitMix64, Word};
 use mks_kernel::subsystem::login;
 use mks_kernel::world::{admin_user, System, SystemSize};
 use mks_kernel::{AuditEvent, KProcId, KernelConfig, Monitor};
@@ -703,38 +703,28 @@ pub fn audit_batch_parity() -> bool {
 /// byte-identical-generation test. FNV-1a over the clock, the hierarchy
 /// shape under `>udd`, the registry ACL, and the audit log.
 pub fn world_digest(sw: &ScaleWorld) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
-    };
+    let mut h = Fnv64::new();
     let world = &sw.sys.world;
-    eat(&world.vm.machine.clock.now().to_le_bytes());
-    eat(&(world.fs.nr_directories() as u64).to_le_bytes());
+    h.bytes(&world.vm.machine.clock.now().to_le_bytes());
+    h.bytes(&(world.fs.nr_directories() as u64).to_le_bytes());
     for name in world.fs.child_names(sw.udd_uid) {
-        eat(name.as_bytes());
+        h.bytes(name.as_bytes());
         if let Some(b) = world.fs.peek_branch(sw.udd_uid, &name) {
-            eat(&b.uid.0.to_le_bytes());
+            h.bytes(&b.uid.0.to_le_bytes());
         }
     }
     for e in sw.registry_acl().entries() {
-        eat(e.person.as_bytes());
-        eat(e.project.as_bytes());
-        eat(e.tag.as_bytes());
+        h.bytes(e.person.as_bytes())
+            .bytes(e.project.as_bytes())
+            .bytes(e.tag.as_bytes());
     }
     for r in world.log.records() {
-        eat(&r.seq.to_le_bytes());
-        eat(&r.at.to_le_bytes());
+        h.bytes(&r.seq.to_le_bytes()).bytes(&r.at.to_le_bytes());
         if let Some(w) = &r.who {
-            eat(w.person.as_bytes());
+            h.bytes(w.person.as_bytes());
         }
     }
-    eat(&world.log.clock_skews().to_le_bytes());
-    h
+    h.bytes(&world.log.clock_skews().to_le_bytes()).finish()
 }
 
 /// Everything E18 measures at one population rung.

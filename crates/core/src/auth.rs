@@ -15,6 +15,7 @@
 use std::collections::HashMap;
 
 use mks_fs::UserId;
+use mks_hw::Fnv64;
 use mks_mls::Label;
 
 /// Iterations of the password hash (slows guessing).
@@ -22,16 +23,12 @@ const HASH_ROUNDS: usize = 1000;
 
 /// A 64-bit salted iterated hash of a password.
 fn password_hash(salt: u64, password: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ salt;
+    let mut h = Fnv64::from_state(Fnv64::OFFSET_BASIS ^ salt);
     for _ in 0..HASH_ROUNDS {
-        for b in password.bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        let x = h.bytes(password.as_bytes()).finish();
+        h = Fnv64::from_state((x ^ (x >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd));
     }
-    h
+    h.finish()
 }
 
 /// One registered principal.

@@ -208,7 +208,7 @@ fn dump_dir(
 pub fn hierarchy_digest(fs: &FileSystem, vm: &mut VmWorld, dir: SegUid) -> u64 {
     let mut canon = String::new();
     digest_dir(fs, vm, dir, "", &mut canon);
-    crate::statemachine::fnv64(canon.as_bytes())
+    mks_hw::fnv64(canon.as_bytes())
 }
 
 fn digest_dir(fs: &FileSystem, vm: &mut VmWorld, dir: SegUid, prefix: &str, out: &mut String) {

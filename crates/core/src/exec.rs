@@ -27,7 +27,7 @@ use mks_vm::SegControl;
 
 use crate::config::LinkerConfig;
 use crate::monitor::{AccessError, Monitor};
-use crate::world::{KProcId, KernelWorld, KstState};
+use crate::world::{KProcId, KernelWorld};
 
 /// Execution-service failures.
 #[derive(Debug, PartialEq, Eq)]
@@ -97,12 +97,8 @@ pub fn install_module(
     .map_err(ExecFault::Access)?;
     // Size the segment for the image (+1 for the length word).
     let len = words.len() + 1;
-    let uid = match &world.proc(pid).kst {
-        KstState::Kernel(k) => k.entry(segno),
-        KstState::Legacy(k) => k.core.entry(segno),
-    }
-    .expect("just created")
-    .uid;
+    let kst = world.proc(pid).kst.core();
+    let uid = kst.entry(segno).expect("just created").uid;
     SegControl::grow(&mut world.vm, uid, len.max(PAGE_WORDS))
         .map_err(AccessError::Mech)
         .map_err(ExecFault::Access)?;

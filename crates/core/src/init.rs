@@ -18,7 +18,7 @@
 pub mod bootstrap;
 pub mod image;
 
-use mks_hw::Cycles;
+use mks_hw::{Cycles, Fnv64};
 
 use crate::config::KernelConfig;
 
@@ -53,25 +53,14 @@ pub struct InitTrace {
 /// serialization), used for the determinism check: two loads of the same
 /// image must produce equal hashes.
 pub fn state_hash(s: &InitState) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for b in bytes {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(&s.gate_entries.to_be_bytes());
-    for d in &s.daemons {
-        eat(d.as_bytes());
-        eat(b"\0");
+    let mut h = Fnv64::new();
+    h.bytes(&s.gate_entries.to_be_bytes());
+    for name in s.daemons.iter().chain(&s.supervisor_segments) {
+        h.bytes(name.as_bytes()).bytes(b"\0");
     }
-    for seg in &s.supervisor_segments {
-        eat(seg.as_bytes());
-        eat(b"\0");
-    }
-    eat(&[u8::from(s.mls_on)]);
-    eat(&s.root_uid.to_be_bytes());
-    h
+    h.bytes(&[u8::from(s.mls_on)])
+        .bytes(&s.root_uid.to_be_bytes())
+        .finish()
 }
 
 /// The target state for a configuration (what *any* correct start must

@@ -9,7 +9,7 @@
 //! steps" to "audit a loader and a checksum" — and loads are bit-identical,
 //! so E11's determinism check is exact hash equality.
 
-use mks_hw::{Clock, Word};
+use mks_hw::{Clock, Fnv64, Word};
 
 use crate::config::KernelConfig;
 use crate::init::{state_hash, target_state, InitState, InitTrace};
@@ -44,12 +44,11 @@ impl core::fmt::Display for ImageError {
 impl std::error::Error for ImageError {}
 
 fn checksum(words: &[Word]) -> Word {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv64::new();
     for w in words {
-        h ^= w.raw();
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h.word(w.raw());
     }
-    Word::new(h)
+    Word::new(h.finish())
 }
 
 fn push_str(words: &mut Vec<Word>, s: &str) {

@@ -381,10 +381,7 @@ impl Monitor {
             }
         };
         let (_, proc) = world.vm_and_proc_mut(pid);
-        let segno = match &mut proc.kst {
-            KstState::Kernel(k) => k.bind(target.uid, false),
-            KstState::Legacy(k) => k.core.bind(target.uid, false),
-        };
+        let segno = proc.kst.core_mut().bind(target.uid, false);
         proc.aspace.set(
             segno,
             mks_hw::Sdw::plain(astx, target.mode, target.brackets),
@@ -399,12 +396,8 @@ impl Monitor {
         pid: KProcId,
         dir_segno: SegNo,
     ) -> Result<SegUid, AccessError> {
-        let proc = world.proc(pid);
-        let entry = match &proc.kst {
-            KstState::Kernel(k) => k.entry(dir_segno),
-            KstState::Legacy(k) => k.core.entry(dir_segno),
-        }
-        .ok_or(AccessError::NoInfo)?;
+        let kst = world.proc(pid).kst.core();
+        let entry = kst.entry(dir_segno).ok_or(AccessError::NoInfo)?;
         if entry.phantom || !entry.is_dir {
             return Err(AccessError::NoInfo);
         }
@@ -492,13 +485,7 @@ impl Monitor {
                 // repeated initiate_dir calls, then one initiate.
                 let comps = parse_path(path).map_err(|_| AccessError::BadPath)?;
                 let (leaf, dirs) = comps.split_last().expect("non-empty");
-                let mut dir = {
-                    let (_, proc) = world.fs_and_proc_mut(pid);
-                    match &mut proc.kst {
-                        KstState::Kernel(k) => mks_fs::kst::bind_root(k),
-                        KstState::Legacy(k) => k.core.bind(mks_fs::FileSystem::ROOT, true),
-                    }
-                };
+                let mut dir = world.bind_root(pid);
                 for c in dirs {
                     dir = Self::initiate_dir(world, pid, dir, c);
                 }
@@ -753,11 +740,7 @@ impl Monitor {
             mks_vm::SegControl::delete(&mut world.vm, uid).map_err(AccessError::Mech)?;
         }
         let (_, proc) = world.vm_and_proc_mut(pid);
-        let segno = match &mut proc.kst {
-            KstState::Kernel(k) => k.segno_of(uid),
-            KstState::Legacy(k) => k.core.segno_of(uid),
-        };
-        if let Some(s) = segno {
+        if let Some(s) = proc.kst.core().segno_of(uid) {
             match &mut proc.kst {
                 KstState::Kernel(k) => {
                     k.unbind(s);
@@ -794,12 +777,7 @@ impl Monitor {
             .fs
             .create_directory(dir_uid, name, &user, label)
             .map_err(AccessError::Fs)?;
-        let (_, proc) = world.fs_and_proc_mut(pid);
-        let segno = match &mut proc.kst {
-            KstState::Kernel(k) => k.bind(uid, true),
-            KstState::Legacy(k) => k.core.bind(uid, true),
-        };
-        Ok(segno)
+        Ok(world.proc_mut(pid).kst.core_mut().bind(uid, true))
     }
 
     /// Gate `list_dir`: entry names of the directory bound at `dir_segno`,
@@ -915,11 +893,9 @@ impl Monitor {
         let obj_label = branch.label;
         let mls_on = world.cfg.mls;
         world.for_each_proc_mut(|proc| {
-            let segno = match &proc.kst {
-                KstState::Kernel(k) => k.segno_of(uid),
-                KstState::Legacy(k) => k.core.segno_of(uid),
+            let Some(segno) = proc.kst.core().segno_of(uid) else {
+                return;
             };
-            let Some(segno) = segno else { return };
             let acl_mode = acl.effective(&proc.user).unwrap_or(AclMode::NULL);
             let mode = combine(acl_mode, &proc.label, &obj_label, mls_on);
             if let Some(sdw) = proc.aspace.get_mut(segno) {
@@ -939,11 +915,7 @@ impl Monitor {
         world.vm.machine.charge_gate_crossing();
         let mon_span = trace.span(mks_trace::Layer::Monitor, "monitor.terminate");
         let (_, proc) = world.vm_and_proc_mut(pid);
-        let entry = match &mut proc.kst {
-            KstState::Kernel(k) => k.unbind(segno),
-            KstState::Legacy(k) => k.core.unbind(segno),
-        };
-        let out = if entry.is_none() {
+        let out = if proc.kst.core_mut().unbind(segno).is_none() {
             Err(AccessError::NoInfo)
         } else {
             proc.aspace.clear(segno);
@@ -986,14 +958,9 @@ impl Monitor {
             match op(world, pid) {
                 Ok(v) => return Ok(v),
                 Err(Fault::MissingPage { seg, page }) => {
-                    let uid = {
-                        let proc = world.proc(pid);
-                        match &proc.kst {
-                            KstState::Kernel(k) => k.entry(seg),
-                            KstState::Legacy(k) => k.core.entry(seg),
-                        }
-                        .map(|e| e.uid)
-                        .ok_or(AccessError::Fault(Fault::MissingPage { seg, page }))?
+                    let kst = world.proc(pid).kst.core();
+                    let Some(uid) = kst.entry(seg).map(|e| e.uid) else {
+                        return Err(AccessError::Fault(Fault::MissingPage { seg, page }));
                     };
                     loop {
                         let (vm, pager) = {
@@ -1171,11 +1138,7 @@ pub struct UserRingResolver<'a> {
 
 impl DirInitiator for UserRingResolver<'_> {
     fn root(&mut self) -> SegNo {
-        let (_, proc) = self.world.fs_and_proc_mut(self.pid);
-        match &mut proc.kst {
-            KstState::Kernel(k) => mks_fs::kst::bind_root(k),
-            KstState::Legacy(k) => k.core.bind(mks_fs::FileSystem::ROOT, true),
-        }
+        self.world.bind_root(self.pid)
     }
 
     fn initiate_dir(&mut self, dir: SegNo, name: &str) -> SegNo {
@@ -1187,20 +1150,12 @@ impl DirInitiator for UserRingResolver<'_> {
 mod tests {
     use super::*;
     use crate::config::KernelConfig;
-    use crate::world::{admin_user, KstState, System};
+    use crate::world::{admin_user, System};
     use mks_fs::{DirMode, UserId};
     use mks_mls::{Compartments, Level};
 
     fn jones() -> UserId {
         UserId::new("Jones", "CSR", "a")
-    }
-
-    fn root_of(sys: &mut System, pid: KProcId) -> SegNo {
-        let (_, proc) = sys.world.fs_and_proc_mut(pid);
-        match &mut proc.kst {
-            KstState::Kernel(k) => mks_fs::kst::bind_root(k),
-            KstState::Legacy(k) => k.core.bind(mks_fs::FileSystem::ROOT, true),
-        }
     }
 
     /// A system with `>udd` (status+append for everyone) and two
@@ -1209,7 +1164,7 @@ mod tests {
         let mut sys = System::new(cfg);
         let admin = sys.world.create_process(admin_user(), Label::BOTTOM, 4);
         let jpid = sys.world.create_process(jones(), Label::BOTTOM, 4);
-        let root = root_of(&mut sys, admin);
+        let root = sys.world.bind_root(admin);
         Monitor::create_directory(&mut sys.world, admin, root, "udd", Label::BOTTOM).unwrap();
         sys.world
             .fs
@@ -1225,7 +1180,7 @@ mod tests {
     }
 
     fn udd_of(sys: &mut System, pid: KProcId) -> SegNo {
-        let root = root_of(sys, pid);
+        let root = sys.world.bind_root(pid);
         Monitor::initiate_dir(&mut sys.world, pid, root, "udd")
     }
 

@@ -29,6 +29,7 @@ use mks_vm::{BulkFreerJob, ClockPolicy, CoreFreerJob, ParallelConfig, ParallelPa
 use crate::config::KernelConfig;
 use crate::init;
 use crate::pressure::{PressureConfig, Priority};
+use crate::statemachine::audit_and_metrics_digest;
 use crate::syslog::AuditEvent;
 use crate::world::{admin_user, KernelWorld, System, SystemSize};
 
@@ -92,15 +93,6 @@ pub struct LaneReport {
     pub faults: u64,
     /// Lock-order violations observed (must be 0).
     pub lock_violations: u64,
-}
-
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Runs `f(lane)` for every `lane in 0..lanes`, sharded over `threads`
@@ -260,20 +252,16 @@ pub fn lane_world_run(cfg: &LaneConfig, lane: usize) -> LaneReport {
         }
     }
 
-    let mut log_bytes = Vec::new();
-    for r in sys.world.log.records() {
-        log_bytes.extend_from_slice(format!("{r:?}\n").as_bytes());
-    }
-    let snap_json = sys.world.vm.machine.trace.snapshot().to_json();
+    let (audit_digest, metrics_digest, metrics_len) = audit_and_metrics_digest(&sys.world);
     let lock_audit = sys.world.vm.machine.locks.audit();
     let stats = tc.stats();
     LaneReport {
         lane,
         boot_hash,
-        audit_digest: fnv64(&log_bytes),
+        audit_digest,
         audit_records: sys.world.log.len(),
-        metrics_digest: fnv64(snap_json.as_bytes()),
-        metrics_len: snap_json.len(),
+        metrics_digest,
+        metrics_len,
         census: sys.world.gates.user_available_entries(),
         clock: sys.world.vm.machine.clock.now(),
         steps: stats.steps,

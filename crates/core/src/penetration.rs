@@ -73,7 +73,7 @@ fn victim() -> UserId {
 fn arena(cfg: KernelConfig) -> (System, KProcId, KProcId, SegNo) {
     let mut sys = System::new(cfg);
     let admin = sys.world.create_process(admin_user(), Label::BOTTOM, 4);
-    let root = bind_root(&mut sys, admin);
+    let root = sys.world.bind_root(admin);
     Monitor::create_directory(&mut sys.world, admin, root, "udd", Label::BOTTOM).unwrap();
     sys.world
         .fs
@@ -87,7 +87,7 @@ fn arena(cfg: KernelConfig) -> (System, KProcId, KProcId, SegNo) {
         .unwrap();
     let vic = sys.world.create_process(victim(), Label::BOTTOM, 4);
     let atk = sys.world.create_process(attacker(), Label::BOTTOM, 4);
-    let root_v = bind_root(&mut sys, vic);
+    let root_v = sys.world.bind_root(vic);
     let udd_v = Monitor::initiate_dir(&mut sys.world, vic, root_v, "udd");
     let secret_seg = Monitor::create_segment(
         &mut sys.world,
@@ -103,16 +103,8 @@ fn arena(cfg: KernelConfig) -> (System, KProcId, KProcId, SegNo) {
     (sys, vic, atk, secret_seg)
 }
 
-fn bind_root(sys: &mut System, pid: KProcId) -> SegNo {
-    let (_, proc) = sys.world.fs_and_proc_mut(pid);
-    match &mut proc.kst {
-        KstState::Kernel(k) => mks_fs::kst::bind_root(k),
-        KstState::Legacy(k) => k.core.bind(mks_fs::FileSystem::ROOT, true),
-    }
-}
-
 fn udd_of(sys: &mut System, pid: KProcId) -> SegNo {
-    let root = bind_root(sys, pid);
+    let root = sys.world.bind_root(pid);
     Monitor::initiate_dir(&mut sys.world, pid, root, "udd")
 }
 
@@ -217,7 +209,7 @@ fn existence_probe(cfg: KernelConfig) -> AttackOutcome {
 fn mls_flow(cfg: KernelConfig, read_up: bool) -> AttackOutcome {
     let mut sys = System::new(cfg);
     let admin = sys.world.create_process(admin_user(), Label::BOTTOM, 4);
-    let root = bind_root(&mut sys, admin);
+    let root = sys.world.bind_root(admin);
     Monitor::create_directory(&mut sys.world, admin, root, "udd", Label::BOTTOM).unwrap();
     sys.world
         .fs
@@ -348,10 +340,7 @@ fn residue(cfg: KernelConfig) -> AttackOutcome {
     let (mut sys, vic, atk, seg) = arena(cfg);
     // Victim deletes the segment (monitor-level: terminate + fs delete +
     // storage scrub via segment control).
-    let uid = match &sys.world.proc(vic).kst {
-        KstState::Kernel(k) => k.entry(seg).unwrap().uid,
-        KstState::Legacy(k) => k.core.entry(seg).unwrap().uid,
-    };
+    let uid = sys.world.proc(vic).kst.core().entry(seg).unwrap().uid;
     Monitor::terminate(&mut sys.world, vic, seg).unwrap();
     mks_vm::SegControl::delete(&mut sys.world.vm, uid).unwrap();
     let (dir, _) = sys.world.fs.find_by_uid(uid).expect("branch still listed");
@@ -478,7 +467,7 @@ fn refname_plant(cfg: KernelConfig) -> AttackOutcome {
 fn revocation_gap(cfg: KernelConfig) -> AttackOutcome {
     let mut sys = System::new(cfg);
     let admin = sys.world.create_process(admin_user(), Label::BOTTOM, 4);
-    let root = bind_root(&mut sys, admin);
+    let root = sys.world.bind_root(admin);
     Monitor::create_directory(&mut sys.world, admin, root, "udd", Label::BOTTOM).unwrap();
     sys.world
         .fs

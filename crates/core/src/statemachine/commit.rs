@@ -9,23 +9,14 @@
 //! [`ReplayError`]) or re-seals covertly, in which case the replay
 //! differential catches the divergent state digests instead.
 
+use std::fmt::Write as _;
+
 use mks_fs::{Acl, AclMode, UserId};
-use mks_hw::{FaultPlan, RingBrackets, RingNo, SegNo};
+use mks_hw::{FaultPlan, Fnv64, RingBrackets, RingNo, SegNo};
 use mks_mls::Label;
 
 use crate::syslog::AuditEvent;
 use crate::world::KProcId;
-
-/// FNV-1a over a byte string — the repo's standard content digest
-/// (same constants as the boot-image and lane-report hashes).
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// One atomic state mutation. Every change to hw/vm/procs/fs/monitor
 /// state in a replayable run flows through exactly one of these; the
@@ -217,7 +208,9 @@ impl Commit {
     /// The commit's contribution to the seal chain: a digest of its
     /// full debug encoding. Any payload difference changes it.
     pub fn encoding_digest(&self) -> u64 {
-        fnv64(format!("{self:?}").as_bytes())
+        let mut h = Fnv64::new();
+        let _ = write!(h, "{self:?}");
+        h.finish()
     }
 
     /// The acting process this commit requires to exist, if any.
@@ -428,11 +421,11 @@ impl CommitLog {
 
     /// The next seal in the chain after `prev`.
     fn chain_next(prev: u64, seq: u64, commit: &Commit) -> u64 {
-        let mut bytes = Vec::with_capacity(24);
-        bytes.extend_from_slice(&prev.to_le_bytes());
-        bytes.extend_from_slice(&seq.to_le_bytes());
-        bytes.extend_from_slice(&commit.encoding_digest().to_le_bytes());
-        fnv64(&bytes)
+        Fnv64::new()
+            .bytes(&prev.to_le_bytes())
+            .bytes(&seq.to_le_bytes())
+            .bytes(&commit.encoding_digest().to_le_bytes())
+            .finish()
     }
 
     /// Seals `commit` at the end of the log, returning its sequence.

@@ -27,7 +27,7 @@ pub mod timetravel;
 pub mod wire;
 pub mod workload;
 
-pub use commit::{fnv64, Commit, CommitLog, ReplayError, SealedCommit};
+pub use commit::{Commit, CommitLog, ReplayError, SealedCommit};
 pub use replay::{
     reduce, replay_differential, restore, snapshot_at, MachineSnapshot, Mismatch, ReplayMutation,
 };
@@ -35,7 +35,7 @@ pub use timetravel::TimeTravel;
 pub use wire::{decode_commit_log, decode_snapshot, encode_commit_log, encode_snapshot, WireError};
 pub use workload::{record_fault_run, record_overload_ladder, RecordedRun, WorkloadSpec};
 
-use mks_hw::{CpuModel, InjectKind, Word};
+use mks_hw::{fnv64, CpuModel, InjectKind, Word};
 use mks_procs::{Effects, FnJob, Step};
 
 use crate::config::KernelConfig;
@@ -56,7 +56,7 @@ pub struct Genesis {
     pub frames: usize,
     /// Bulk-store records.
     pub bulk_records: usize,
-    /// Trace-ring capacity (`None` = environment default).
+    /// Trace-ring capacity (`None` = the `mks-trace` default).
     pub trace_capacity: Option<usize>,
     /// Dedicated daemons blocked on event channels, addressable by
     /// [`Commit::Wakeup`] index.
@@ -353,11 +353,7 @@ impl KernelStateMachine {
     /// change what is being digested.
     pub fn digest(&self) -> StateDigest {
         let w = &self.sys.world;
-        let mut log_bytes = Vec::new();
-        for r in w.log.records() {
-            log_bytes.extend_from_slice(format!("{r:?}\n").as_bytes());
-        }
-        let snap_json = w.vm.machine.trace.snapshot().to_json();
+        let (audit_digest, metrics_digest, _) = audit_and_metrics_digest(w);
         let mut census: Vec<_> = w.fs.label_census();
         census.sort_by_key(|(uid, _)| *uid);
         let mut label_bytes = Vec::new();
@@ -368,8 +364,8 @@ impl KernelStateMachine {
             seq: w.commits.len(),
             clock: w.vm.machine.clock.now(),
             audit_records: w.log.len() as u64,
-            audit_digest: fnv64(&log_bytes),
-            metrics_digest: fnv64(snap_json.as_bytes()),
+            audit_digest,
+            metrics_digest,
             census: w.gates.user_available_entries() as u64,
             processes: w.nr_processes() as u64,
             label_digest: fnv64(&label_bytes),
@@ -377,6 +373,21 @@ impl KernelStateMachine {
             log_digest: w.commits.head(),
         }
     }
+}
+
+/// The part of a whole-kernel fingerprint that [`StateDigest`] and the
+/// parallel lane report ([`crate::par::LaneReport`]) share:
+/// `(audit digest, metrics digest, metrics JSON length)`, FNV-1a over
+/// the audit log (one `{:?}` line per record) and over the metering
+/// snapshot JSON.
+pub(crate) fn audit_and_metrics_digest(w: &KernelWorld) -> (u64, u64, usize) {
+    let mut log_bytes = Vec::new();
+    for r in w.log.records() {
+        log_bytes.extend_from_slice(format!("{r:?}\n").as_bytes());
+    }
+    let snap_json = w.vm.machine.trace.snapshot().to_json();
+    let metrics = fnv64(snap_json.as_bytes());
+    (fnv64(&log_bytes), metrics, snap_json.len())
 }
 
 /// A whole-kernel fingerprint at one commit boundary. The differential

@@ -46,6 +46,25 @@ pub enum KstState {
     Legacy(Box<LegacyKst>),
 }
 
+impl KstState {
+    /// The segno↔uid bindings, which both configurations keep in a
+    /// [`KernelKst`] (the legacy object wraps one as its `core`).
+    pub(crate) fn core(&self) -> &KernelKst {
+        match self {
+            KstState::Kernel(k) => k,
+            KstState::Legacy(k) => &k.core,
+        }
+    }
+
+    /// Mutable [`KstState::core`].
+    pub(crate) fn core_mut(&mut self) -> &mut KernelKst {
+        match self {
+            KstState::Kernel(k) => k,
+            KstState::Legacy(k) => &mut k.core,
+        }
+    }
+}
+
 /// Kernel-side state of one process.
 pub struct ProcState {
     /// The logged-in principal.
@@ -152,8 +171,7 @@ pub struct SystemSize {
     pub bulk_records: usize,
     /// Which CPU generation to build on.
     pub cpu: CpuModel,
-    /// Trace-ring capacity; `None` defers to the `MKS_TRACE_CAP`
-    /// environment override, then the `mks-trace` default.
+    /// Trace-ring capacity; `None` means the `mks-trace` default.
     pub trace_capacity: Option<usize>,
 }
 
@@ -370,11 +388,8 @@ impl KernelWorld {
     /// number (done implicitly at process creation in real Multics; an
     /// explicit call here so tests and examples read naturally).
     pub fn bind_root(&mut self, pid: KProcId) -> mks_hw::SegNo {
-        let proc = self.proc_mut(pid);
-        match &mut proc.kst {
-            KstState::Kernel(k) => mks_fs::kst::bind_root(k),
-            KstState::Legacy(k) => k.core.bind(FileSystem::ROOT, true),
-        }
+        let kst = self.proc_mut(pid).kst.core_mut();
+        kst.bind(FileSystem::ROOT, true)
     }
 
     /// Applies `f` to every live process record (kernel-internal; used by

@@ -13,7 +13,7 @@
 //! loops unbounded and never panics.
 
 use crate::clock::Cycles;
-use crate::inject::SplitMix64;
+use crate::SplitMix64;
 
 /// The shape of one retry schedule: exponential windows with seeded
 /// jitter, capped per step and bounded in attempts.

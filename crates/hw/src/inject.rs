@@ -54,6 +54,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use crate::clock::Cycles;
+use crate::SplitMix64;
 
 /// The classes of fault the simulation can inject, one per site class.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -540,32 +541,6 @@ pub fn shrink_plan(plan: &FaultPlan, mut reproduces: impl FnMut(&FaultPlan) -> b
     FaultPlan {
         seed: plan.seed,
         events,
-    }
-}
-
-/// A tiny deterministic generator (SplitMix64) for plan generation and the
-/// recovery driver's workload choices. Not for statistics — for replay.
-#[derive(Clone, Debug)]
-pub struct SplitMix64(u64);
-
-impl SplitMix64 {
-    /// Seeds the generator.
-    pub fn new(seed: u64) -> SplitMix64 {
-        SplitMix64(seed)
-    }
-
-    /// Next raw 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform-ish value in `0..bound` (`bound` must be non-zero).
-    pub fn below(&mut self, bound: u64) -> u64 {
-        self.next_u64() % bound
     }
 }
 

@@ -46,12 +46,15 @@ pub use cost::{CostModel, CpuModel};
 pub use fault::Fault;
 pub use gate::{EntryIndex, GateDef};
 pub use inject::{
-    shrink_plan, FaultEvent, FaultPlan, FiredFault, InjectKind, InjectorHandle, SplitMix64,
-    NR_INJECT_KINDS, NR_LEGACY_KINDS,
+    shrink_plan, FaultEvent, FaultPlan, FiredFault, InjectKind, InjectorHandle, NR_INJECT_KINDS,
+    NR_LEGACY_KINDS,
 };
 pub use lockorder::{LockAudit, LockHold, LockId, LockOrderHandle};
 pub use machine::{AccessType, CallOutcome, Machine};
 pub use mem::{FrameId, PhysMem, PAGE_WORDS};
+/// The shared FNV-1a and SplitMix64 primitives (defined in `mks-trace`,
+/// which sits below this crate).
+pub use mks_trace::digest::{fnv64, Fnv64, SplitMix64};
 pub use module::{source_weight, Category, ModuleInfo};
 pub use ring::{RingBrackets, RingNo, NR_RINGS};
 pub use sdw::{AccessMode, Sdw};

@@ -73,22 +73,21 @@ pub struct Machine {
 
 impl Machine {
     /// Builds a machine of the given generation with `nr_frames` of primary
-    /// memory and the boot-time trace-ring capacity (explicit config beats
-    /// the `MKS_TRACE_CAP` environment override, which beats the default —
-    /// see [`resolve_trace_capacity`]).
+    /// memory and the default boot-time trace-ring capacity (see
+    /// [`resolve_trace_capacity`]).
     pub fn new(model: CpuModel, nr_frames: usize) -> Machine {
         Machine::with_trace_capacity(model, nr_frames, None)
     }
 
     /// Builds a machine with an explicit trace-ring capacity (`None` falls
-    /// back to `MKS_TRACE_CAP`, then the crate default).
+    /// back to the crate default).
     pub fn with_trace_capacity(
         model: CpuModel,
         nr_frames: usize,
         trace_capacity: Option<usize>,
     ) -> Machine {
         let clock = Clock::new();
-        let capacity = resolve_trace_capacity(trace_capacity, std::env::var("MKS_TRACE_CAP").ok());
+        let capacity = resolve_trace_capacity(trace_capacity);
         let trace = TraceHandle::with_capacity(clock.clone(), capacity);
         Machine {
             model,
@@ -375,14 +374,12 @@ impl Machine {
 }
 
 /// Resolves the boot-time trace-ring capacity: explicit configuration
-/// wins, then a parseable `MKS_TRACE_CAP` value, then the crate
-/// default. Capacity zero (from either source) is clamped to 1 — a
-/// ringless recorder cannot honor the metering contract.
-pub fn resolve_trace_capacity(explicit: Option<usize>, env: Option<String>) -> usize {
-    explicit
-        .or_else(|| env.as_deref().and_then(|s| s.trim().parse().ok()))
-        .unwrap_or(mks_trace::DEFAULT_RING_CAPACITY)
-        .max(1)
+/// wins, otherwise the crate default. The host environment is never
+/// consulted, so equal configurations boot equal recorders everywhere.
+/// Capacity zero is clamped to 1 — a ringless recorder cannot honor the
+/// metering contract.
+pub fn resolve_trace_capacity(explicit: Option<usize>) -> usize {
+    explicit.unwrap_or(mks_trace::DEFAULT_RING_CAPACITY).max(1)
 }
 
 #[cfg(test)]
@@ -407,29 +404,16 @@ mod tests {
     }
 
     #[test]
-    fn trace_capacity_resolution_order_is_config_env_default() {
-        // Explicit configuration wins over everything.
+    fn trace_capacity_resolution_order_is_config_default() {
+        // Explicit configuration wins.
+        assert_eq!(resolve_trace_capacity(Some(128)), 128);
+        // Absent configuration falls back to the default.
         assert_eq!(
-            resolve_trace_capacity(Some(128), Some("999".to_string())),
-            128
-        );
-        // The environment override applies when no config is given.
-        assert_eq!(resolve_trace_capacity(None, Some("512".to_string())), 512);
-        assert_eq!(
-            resolve_trace_capacity(None, Some(" 512\n".to_string())),
-            512
-        );
-        // Garbage or absent env falls back to the default.
-        assert_eq!(
-            resolve_trace_capacity(None, Some("lots".to_string())),
-            mks_trace::DEFAULT_RING_CAPACITY
-        );
-        assert_eq!(
-            resolve_trace_capacity(None, None),
+            resolve_trace_capacity(None),
             mks_trace::DEFAULT_RING_CAPACITY
         );
         // Zero is clamped to a one-slot ring.
-        assert_eq!(resolve_trace_capacity(Some(0), None), 1);
+        assert_eq!(resolve_trace_capacity(Some(0)), 1);
     }
 
     #[test]

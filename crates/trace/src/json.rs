@@ -93,7 +93,9 @@ impl Value {
     }
 }
 
-fn emit_string(s: &str, out: &mut String) {
+/// Appends `s` to `out` as a quoted JSON string, escaping quotes,
+/// backslashes and control characters.
+pub fn emit_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -32,6 +32,7 @@
 
 pub mod analytics;
 pub mod clock;
+pub mod digest;
 pub mod json;
 pub mod metrics;
 pub mod quantile;
@@ -46,6 +47,8 @@ use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
+
+use digest::fnv64;
 
 pub use analytics::{
     Alert, AlertKind, AuditKind, AuditSample, Observatory, ObservatoryConfig, ObservatoryTotals,
@@ -93,17 +96,6 @@ pub struct FlightRecorder {
     sampler: Sampler,
     /// Streaming audit analytics and anomaly surveillance.
     observatory: Observatory,
-}
-
-/// FNV-1a over a name: the deterministic seed of its quantile sketch's
-/// exemplar reservoir.
-fn name_seed(name: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in name.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 impl FlightRecorder {
@@ -162,7 +154,7 @@ impl FlightRecorder {
         if let Some(sketch) = self.quantiles.get_mut(name) {
             sketch.observe(value, at, principal, detail);
         } else {
-            let mut sketch = QuantileSketch::new(name_seed(name));
+            let mut sketch = QuantileSketch::new(fnv64(name.as_bytes()));
             sketch.observe(value, at, principal, detail);
             self.quantiles.insert(name.to_string(), sketch);
         }

@@ -25,6 +25,7 @@
 //! them, so a tail latency in a snapshot links back to who caused it.
 
 use crate::clock::Cycles;
+use crate::digest::{SplitMix64, GOLDEN_GAMMA};
 
 /// Linear sub-buckets per octave. Controls the error bound: relative
 /// error of any quantile estimate is `< 1/SUBBUCKETS`.
@@ -60,8 +61,8 @@ pub struct QuantileSketch {
     exemplars: Vec<Exemplar>,
     /// Hot observations seen so far (the reservoir denominator).
     hot_seen: u64,
-    /// Deterministic reservoir state — seeded, never wall clock.
-    rng: u64,
+    /// Deterministic reservoir generator — seeded, never wall clock.
+    rng: SplitMix64,
 }
 
 /// Which bucket `value` lands in: exact below [`SUBBUCKETS`], then
@@ -105,7 +106,7 @@ impl QuantileSketch {
             max: 0,
             exemplars: Vec::new(),
             hot_seen: 0,
-            rng: seed ^ 0x9e37_79b9_7f4a_7c15,
+            rng: SplitMix64::new(seed ^ GOLDEN_GAMMA),
         }
     }
 
@@ -127,17 +128,8 @@ impl QuantileSketch {
             max,
             exemplars,
             hot_seen: 0,
-            rng: 0x9e37_79b9_7f4a_7c15,
+            rng: SplitMix64::new(GOLDEN_GAMMA),
         }
-    }
-
-    fn next_rand(&mut self) -> u64 {
-        // SplitMix64 step (self-contained: mks-trace sits below mks-hw).
-        self.rng = self.rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.rng;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
     }
 
     /// The hot-region floor: observations at or above half the current
@@ -181,7 +173,7 @@ impl QuantileSketch {
             } else {
                 // Algorithm R: replace a random slot with probability
                 // NR_EXEMPLARS / hot_seen.
-                let slot = (self.next_rand() % self.hot_seen) as usize;
+                let slot = self.rng.below(self.hot_seen) as usize;
                 if slot < NR_EXEMPLARS {
                     self.exemplars[slot] = ex();
                 }

@@ -22,6 +22,7 @@
 //! contract that every event lands in the ring is preserved until a
 //! deployment opts in.
 
+use crate::digest::{splitmix64_mix, GOLDEN_GAMMA};
 use crate::record::{EventKind, TraceRecord};
 
 /// Head-sampling policy for verbatim ring records.
@@ -102,10 +103,7 @@ impl Sampler {
         }
         // SplitMix64 finalizer over (seed, seq): a stationary, seeded
         // coin that replays identically for the same workload.
-        let mut z = seq ^ self.policy.seed ^ 0x9e37_79b9_7f4a_7c15;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
+        let z = splitmix64_mix(seq ^ self.policy.seed ^ GOLDEN_GAMMA);
         if z.is_multiple_of(self.policy.keep_one_in) {
             self.kept += 1;
             true

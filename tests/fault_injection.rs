@@ -13,17 +13,6 @@ use mks_hw::{shrink_plan, FaultEvent, FaultPlan, InjectKind};
 use mks_kernel::recovery::{run_plan, run_seed, RecoveryOpts, SalvageMutation};
 use proptest::prelude::*;
 
-/// The pinned sweep: this many seeds on every `cargo test`, unless the
-/// `MKS_SWEEP_SEEDS` environment variable caps it (CI uses a smaller
-/// sweep in wall-time-bounded jobs; any seed that fails at 1200 also
-/// fails at whatever prefix includes it).
-fn sweep_seeds() -> u64 {
-    std::env::var("MKS_SWEEP_SEEDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1200)
-}
-
 /// On a violation, shrink to the minimal reproducing schedule before
 /// failing — the report names the exact events that matter.
 fn check_seed(seed: u64, opts: RecoveryOpts) -> mks_kernel::recovery::RecoveryOutcome {
@@ -45,7 +34,10 @@ fn check_seed(seed: u64, opts: RecoveryOpts) -> mks_kernel::recovery::RecoveryOu
 
 #[test]
 fn a_thousand_seeded_plans_hold_every_invariant() {
-    let sweep = sweep_seeds();
+    // The pinned sweep: 1200 seeds unless `MKS_SWEEP_SEEDS` says
+    // otherwise (any seed that fails at 1200 also fails at whatever
+    // prefix includes it).
+    let sweep = mks_bench::sweep_seeds(1200);
     let opts = RecoveryOpts::default();
     let mut crashes = 0u64;
     let mut faults = 0usize;

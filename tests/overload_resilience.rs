@@ -31,23 +31,15 @@ use mks_kernel::{AuditEvent, GateTable, KernelConfig, Monitor};
 use mks_mls::Label;
 use proptest::prelude::*;
 
-/// Seeds in the exhaustion sweep (`MKS_SWEEP_SEEDS` caps it in
-/// wall-time-bounded CI jobs; any failing seed fails at any cap that
-/// includes it).
-fn sweep_seeds() -> u64 {
-    std::env::var("MKS_SWEEP_SEEDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(500)
-}
-
 #[test]
 fn exhaustion_plans_never_break_recovery_invariants() {
     let opts = RecoveryOpts {
         overload: true,
         ..RecoveryOpts::default()
     };
-    let sweep = sweep_seeds();
+    // 500 seeds unless `MKS_SWEEP_SEEDS` says otherwise (any failing
+    // seed fails at any cap that includes it).
+    let sweep = mks_bench::sweep_seeds(500);
     let mut crashes = 0u64;
     let mut exhaustion = 0u64;
     for seed in 0..sweep {

@@ -4,7 +4,7 @@
 //! read back exactly, across any number of trips through the bulk store
 //! and disk — and a *fresh* page must always read as zeros (no residue).
 
-use mks_hw::{CpuModel, Machine, SegUid, Word, PAGE_WORDS};
+use mks_hw::{CpuModel, Fnv64, Machine, SegUid, Word, PAGE_WORDS};
 use mks_procs::{SchedMode, TcConfig, TrafficController};
 use mks_vm::{
     mechanism, BulkFreerJob, ClockPolicy, CoreFreerJob, FifoPolicy, ParallelConfig,
@@ -224,7 +224,7 @@ fn freshly_created_pages_never_carry_residue() {
 /// Loads every page of `segs` back into core (evicting as needed) and
 /// folds all their words into one FNV digest of the *logical* image.
 fn logical_image_digest(w: &mut VmWorld, segs: &[SegUid]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv64::new();
     for s in segs {
         for p in 0..4 {
             let astx = w.machine.ast.find(*s).unwrap();
@@ -248,12 +248,11 @@ fn logical_image_digest(w: &mut VmWorld, segs: &[SegUid]) -> u64 {
                 unreachable!()
             };
             for off in 0..PAGE_WORDS {
-                h ^= w.machine.mem.read(frame, off).raw();
-                h = h.wrapping_mul(0x100_0000_01b3);
+                h.word(w.machine.mem.read(frame, off).raw());
             }
         }
     }
-    h
+    h.finish()
 }
 
 /// A deterministic slow/failing-disk schedule touching many transfers.

@@ -8,7 +8,7 @@
 //! audit-visible state — boot hash, audit log, metrics snapshot, gate
 //! census, clock — whatever host thread count carries it and at every
 //! simulated CPU count. `MKS_SWEEP_SEEDS` widens the seed sweep for
-//! soak runs (CI caps it to bound wall time).
+//! soak runs (the nightly CI sweep runs 24 seeds).
 
 use mks_hw::{SegUid, PAGE_WORDS};
 use mks_kernel::monitor::Monitor;
@@ -18,14 +18,6 @@ use mks_kernel::KernelConfig;
 use mks_procs::{SchedMode, TcConfig, TrafficController};
 use mks_vm::parallel::TraceJob;
 use mks_vm::{BulkFreerJob, ClockPolicy, CoreFreerJob, ParallelConfig, ParallelPageControl};
-
-fn sweep_seeds() -> u64 {
-    std::env::var("MKS_SWEEP_SEEDS")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(4)
-        .max(1)
-}
 
 fn cfg(seed: u64, nr_cpus: usize) -> LaneConfig {
     LaneConfig {
@@ -40,7 +32,8 @@ fn cfg(seed: u64, nr_cpus: usize) -> LaneConfig {
 
 #[test]
 fn whole_kernel_differential_is_clean_across_the_seed_sweep() {
-    for seed in 0..sweep_seeds() {
+    // Six seeds by default: the width CI has always run this sweep at.
+    for seed in 0..mks_bench::sweep_seeds(6) {
         assert_eq!(
             differential_mismatches(&cfg(seed, 4), 4),
             0,

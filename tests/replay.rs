@@ -6,7 +6,7 @@
 //! Everything here folds *recorded* logs — the driver never re-runs, so
 //! any input a workload smuggled past the commit stream shows up as a
 //! boundary mismatch. `MKS_SWEEP_SEEDS` widens the seed sweep for soak
-//! runs (CI caps it to bound wall time).
+//! runs (the nightly CI sweep runs 240 seeds).
 
 use mks_kernel::statemachine::workload::{
     record_fault_run, record_overload_ladder, RecordedRun, WorkloadSpec,
@@ -17,11 +17,9 @@ use mks_kernel::statemachine::{
 };
 
 fn sweep_seeds() -> u64 {
-    std::env::var("MKS_SWEEP_SEEDS")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(60)
-        .max(2)
+    // At least two: the overload sweep runs half as many seeds, and
+    // must still run one.
+    mks_bench::sweep_seeds(60).max(2)
 }
 
 fn fault_run(seed: u64) -> (Genesis, RecordedRun) {

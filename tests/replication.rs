@@ -8,20 +8,12 @@
 //! disarmed the cluster must reconverge with every replica holding the
 //! same chain head, the same live digest as `reduce(genesis, log)`, no
 //! epoch with two sealers, and no majority-acknowledged commit lost.
-//! `MKS_SWEEP_SEEDS` widens the sweep for soak runs (CI caps it to
-//! bound wall time).
+//! `MKS_SWEEP_SEEDS` widens the sweep for soak runs (the nightly CI
+//! sweep runs 600 seeds).
 
 use mks_hw::{FaultEvent, FaultPlan, InjectKind};
 use mks_kernel::replicate::{drive_mixed_workload, Cluster, ReplConfig, ReplError, Role};
 use mks_kernel::statemachine::{reduce, Commit, Genesis};
-
-fn sweep_seeds() -> u64 {
-    std::env::var("MKS_SWEEP_SEEDS")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(60)
-        .max(2)
-}
 
 fn cluster(seed: u64) -> Cluster {
     Cluster::new(
@@ -87,7 +79,9 @@ fn assert_sound(c: &Cluster, what: &str, seed: u64) {
 
 #[test]
 fn hostile_link_sweep_reconverges_soundly() {
-    for seed in 0..sweep_seeds() {
+    // At least two seeds, so even a capped run walks more than one
+    // hostile schedule.
+    for seed in 0..mks_bench::sweep_seeds(60).max(2) {
         let mut c = cluster(seed);
         c.arm(&FaultPlan::generate_replication(seed));
         let report = drive_mixed_workload(&mut c, seed, 40);

@@ -3,9 +3,8 @@
 //! retained linear-scan specifications on arbitrary inputs — not just
 //! the curated rungs the experiment samples.
 //!
-//! The sweep honors `MKS_SWEEP_SEEDS` like the experiment does, so the
-//! CI `perf` job can cap it and a soak run can widen it without
-//! touching the source.
+//! The sweep honors `MKS_SWEEP_SEEDS` like the experiment does, so a
+//! soak run can widen it without touching the source.
 
 use mks_bench::scale::{
     acl_differential, audit_batch_parity, build_world, lookup_differential, run_traffic,
@@ -16,11 +15,7 @@ use proptest::prelude::*;
 
 /// Sweep width: `MKS_SWEEP_SEEDS` or a CI-friendly default.
 fn sweep_seeds() -> u64 {
-    std::env::var("MKS_SWEEP_SEEDS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(4)
+    mks_bench::sweep_seeds(4)
 }
 
 /// The same pinned seed must produce the same world, op for op and
