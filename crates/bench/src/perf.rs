@@ -619,10 +619,7 @@ fn field_after(s: &str, key: &str) -> Result<f64, String> {
 /// one ratio flat. The gate scores a path by the *smallest* ratio.
 pub fn gate(current: &PerfReport, baseline: &Baseline, tolerance: f64) -> Vec<String> {
     let mut violations = Vec::new();
-    let mem_shift = current.calibration_ns.max(f64::MIN_POSITIVE)
-        / baseline.calibration_ns.max(f64::MIN_POSITIVE);
-    let cpu_shift = current.calibration_cpu_ns.max(f64::MIN_POSITIVE)
-        / baseline.calibration_cpu_ns.max(f64::MIN_POSITIVE);
+    let (mem_shift, cpu_shift) = calibration_shifts(current, baseline);
     for (name, base_ns) in &baseline.paths {
         if *base_ns <= 0.0 {
             continue;
@@ -676,6 +673,44 @@ pub fn gate(current: &PerfReport, baseline: &Baseline, tolerance: f64) -> Vec<St
         }
     }
     violations
+}
+
+/// How much slower than the baseline host this host runs each
+/// calibration yardstick: `(memory, cpu)` ratios of ns per op.
+fn calibration_shifts(current: &PerfReport, baseline: &Baseline) -> (f64, f64) {
+    let mem_shift = current.calibration_ns.max(f64::MIN_POSITIVE)
+        / baseline.calibration_ns.max(f64::MIN_POSITIVE);
+    let cpu_shift = current.calibration_cpu_ns.max(f64::MIN_POSITIVE)
+        / baseline.calibration_cpu_ns.max(f64::MIN_POSITIVE);
+    (mem_shift, cpu_shift)
+}
+
+/// Baseline rows that no longer guard their path: the path now runs
+/// more than `tolerance` faster than its row against *both* calibration
+/// yardsticks. Against such a row, a change that gave the gain back
+/// would still pass [`gate`], so each warning asks for a re-seed. These
+/// are warnings only; they never fail the gate.
+pub fn stale_rows(current: &PerfReport, baseline: &Baseline, tolerance: f64) -> Vec<String> {
+    let (mem_shift, cpu_shift) = calibration_shifts(current, baseline);
+    let mut warnings = Vec::new();
+    for (name, base_ns) in &baseline.paths {
+        let Some(cur) = current.paths.iter().find(|p| p.name == name) else {
+            continue;
+        };
+        let raw = cur.ns_per_op / base_ns.max(f64::MIN_POSITIVE);
+        let ratio = (raw / mem_shift).max(raw / cpu_shift);
+        if ratio * (1.0 + tolerance) < 1.0 {
+            warnings.push(format!(
+                "{name}: {:.1} ns/op vs baseline {:.1} ns/op — {:+.0}% vs the memory yardstick, \
+                 {:+.0}% vs the cpu yardstick; the row is stale and should be re-seeded",
+                cur.ns_per_op,
+                base_ns,
+                (raw / mem_shift - 1.0) * 100.0,
+                (raw / cpu_shift - 1.0) * 100.0,
+            ));
+        }
+    }
+    warnings
 }
 
 /// Folds a re-measurement into `report`, keeping the best (minimum)
@@ -858,6 +893,39 @@ mod tests {
         let mut saturated = r;
         saturated.par.speedup = 1.6;
         assert!(gate(&saturated, &base, 0.25).is_empty());
+    }
+
+    #[test]
+    fn a_path_far_faster_than_its_row_is_flagged_but_never_fails() {
+        let r = sample_report();
+        let base = parse_baseline(&to_json(&r)).unwrap();
+        assert!(
+            stale_rows(&r, &base, 0.25).is_empty(),
+            "a report is not stale to itself"
+        );
+
+        let mut faster = r.clone();
+        faster.paths[1].ns_per_op /= 1.5;
+        assert!(
+            gate(&faster, &base, 0.25).is_empty(),
+            "a speedup never fails"
+        );
+        let w = stale_rows(&faster, &base, 0.25);
+        assert_eq!(w.len(), 1);
+        assert!(w[0].contains("monitor_read_warm"), "{w:?}");
+
+        // A host faster on one yardstick only is not evidence of a
+        // stale row: against the other, the path did not speed up.
+        let mut quick_memory = faster.clone();
+        quick_memory.calibration_ns /= 1.5;
+        assert!(stale_rows(&quick_memory, &base, 0.25).is_empty());
+
+        // On a host slower on both yardsticks, an unchanged raw time is
+        // a real speedup, and the row is stale.
+        let mut slow_host = r;
+        slow_host.calibration_ns *= 1.5;
+        slow_host.calibration_cpu_ns *= 1.5;
+        assert_eq!(stale_rows(&slow_host, &base, 0.25).len(), 2);
     }
 
     #[test]

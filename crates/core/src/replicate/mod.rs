@@ -1575,6 +1575,30 @@ mod tests {
     }
 
     #[test]
+    fn a_cluster_converges_after_a_commit_with_an_edited_acl() {
+        // The backups decode the commit's ACL afresh, so their copy's
+        // lookup index differs from the primary's; their seals must not.
+        use crate::statemachine::commit::tests::edited_acl_commit;
+        let mut cluster = small_cluster(9);
+        let out = cluster
+            .submit(&edited_acl_commit(true))
+            .expect("the primary seals");
+        assert!(
+            matches!(&out, Outcome::Refused(why) if why.starts_with("NoSuchProcess")),
+            "{out:?}"
+        );
+        assert!(cluster.run_quiet(20_000), "the cluster converges");
+        let primary = cluster.primary().expect("a primary exists");
+        for id in 0..cluster.replica_count() as u32 {
+            assert_eq!(
+                cluster.digest_of(id),
+                cluster.digest_of(primary),
+                "replica {id}"
+            );
+        }
+    }
+
+    #[test]
     fn primary_crash_promotes_an_up_to_date_backup() {
         let mut cluster = small_cluster(23);
         let plan = FaultPlan {

@@ -9,8 +9,6 @@
 //! [`ReplayError`]) or re-seals covertly, in which case the replay
 //! differential catches the divergent state digests instead.
 
-use std::fmt::Write as _;
-
 use mks_fs::{Acl, AclMode, UserId};
 use mks_hw::{FaultPlan, Fnv64, RingBrackets, RingNo, SegNo};
 use mks_mls::Label;
@@ -205,11 +203,13 @@ pub enum Commit {
 }
 
 impl Commit {
-    /// The commit's contribution to the seal chain: a digest of its
-    /// full debug encoding. Any payload difference changes it.
+    /// The commit's contribution to the seal chain: FNV-1a over its wire
+    /// encoding, streamed with no buffer. The encoding is a function of
+    /// the commit's value alone, so equal commits seal equally and any
+    /// payload difference changes the seal.
     pub fn encoding_digest(&self) -> u64 {
         let mut h = Fnv64::new();
-        let _ = write!(h, "{self:?}");
+        super::wire::put_commit(&mut h, self);
         h.finish()
     }
 
@@ -388,6 +388,12 @@ impl CommitLog {
         CommitLog { base, entries }
     }
 
+    /// Reserves room for `additional` more seals, for a caller that
+    /// knows how long the log will grow.
+    pub(crate) fn reserve(&mut self, additional: u64) {
+        self.entries.reserve(additional as usize);
+    }
+
     /// The genesis digest this log is rooted at.
     pub fn base(&self) -> u64 {
         self.base
@@ -500,9 +506,40 @@ impl CommitLog {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::syslog::AuditEvent;
+
+    /// `*.*.*` plus `P0.Proj.a` and `P17.Proj.a`. With `detour`, sixteen
+    /// more principals are added and removed again on the way: the
+    /// entries end up equal, the ACL's derived lookup index does not.
+    pub(crate) fn edited_acl(detour: bool) -> Acl<AclMode> {
+        let mut acl = Acl::of("*.*.*", AclMode::R);
+        acl.add("P0.Proj.a", AclMode::RW);
+        let others = (1..17).map(|i| format!("P{i}.Proj.a"));
+        if detour {
+            for p in others.clone() {
+                acl.add(&p, AclMode::RW);
+            }
+        }
+        acl.add("P17.Proj.a", AclMode::RW);
+        if detour {
+            for p in others {
+                assert!(acl.remove(&p));
+            }
+        }
+        acl
+    }
+
+    /// A `SetSegmentAcl` commit carrying [`edited_acl`].
+    pub(crate) fn edited_acl_commit(detour: bool) -> Commit {
+        Commit::SetSegmentAcl {
+            pid: KProcId(1),
+            dir: SegNo(0o100),
+            name: "shared".into(),
+            acl: edited_acl(detour),
+        }
+    }
 
     fn sample_log() -> CommitLog {
         let mut log = CommitLog::new();
@@ -550,6 +587,13 @@ mod tests {
             CommitLog::chain_next(7, 0, &a),
             CommitLog::chain_next(8, 0, &a)
         );
+    }
+
+    #[test]
+    fn equal_commits_seal_equally_however_their_acls_were_built() {
+        let (edited, direct) = (edited_acl_commit(true), edited_acl_commit(false));
+        assert_eq!(edited, direct);
+        assert_eq!(edited.encoding_digest(), direct.encoding_digest());
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub use timetravel::TimeTravel;
 pub use wire::{decode_commit_log, decode_snapshot, encode_commit_log, encode_snapshot, WireError};
 pub use workload::{record_fault_run, record_overload_ladder, RecordedRun, WorkloadSpec};
 
-use mks_hw::{fnv64, CpuModel, InjectKind, Word};
+use mks_hw::{fnv64, CpuModel, Fnv64, InjectKind, Word};
 use mks_procs::{Effects, FnJob, Step};
 
 use crate::config::KernelConfig;
@@ -81,11 +81,14 @@ impl Genesis {
         state_hash(&target_state(&self.cfg))
     }
 
-    /// Digest rooting the seal chain: covers the full assembly recipe
-    /// *and* the boot target, so logs from different geneses or
-    /// different boot images can never be confused.
+    /// Digest rooting the seal chain: FNV-1a over the recipe's wire
+    /// encoding *and* the boot target, so logs from different geneses
+    /// or different boot images can never be confused.
     pub fn digest(&self) -> u64 {
-        fnv64(format!("{self:?}|boot:{:016x}", self.boot_hash()).as_bytes())
+        let mut h = Fnv64::new();
+        wire::put_genesis(&mut h, self);
+        wire::put_u64(&mut h, self.boot_hash());
+        h.finish()
     }
 
     /// Assembles the machine: builds the system, installs the daemons,
@@ -354,11 +357,12 @@ impl KernelStateMachine {
     pub fn digest(&self) -> StateDigest {
         let w = &self.sys.world;
         let (audit_digest, metrics_digest, _) = audit_and_metrics_digest(w);
-        let mut census: Vec<_> = w.fs.label_census();
-        census.sort_by_key(|(uid, _)| *uid);
-        let mut label_bytes = Vec::new();
-        for (uid, label) in &census {
-            label_bytes.extend_from_slice(format!("{uid:?}={label:?};").as_bytes());
+        // The census comes sorted by uid; each pair is digested in its
+        // wire form.
+        let mut labels = Fnv64::new();
+        for (uid, label) in &w.fs.label_census() {
+            wire::put_u64(&mut labels, uid.0);
+            wire::put_label(&mut labels, label);
         }
         StateDigest {
             seq: w.commits.len(),
@@ -368,7 +372,7 @@ impl KernelStateMachine {
             metrics_digest,
             census: w.gates.user_available_entries() as u64,
             processes: w.nr_processes() as u64,
-            label_digest: fnv64(&label_bytes),
+            label_digest: labels.finish(),
             boot_hash: self.genesis.boot_hash(),
             log_digest: w.commits.head(),
         }
@@ -410,7 +414,8 @@ pub struct StateDigest {
     pub census: u64,
     /// Live kernel processes.
     pub processes: u64,
-    /// FNV-1a over the sorted (uid, label) census of the hierarchy.
+    /// FNV-1a over the wire form of the sorted (uid, label) census of
+    /// the hierarchy.
     pub label_digest: u64,
     /// The genesis boot-image hash (E15 invariant 5).
     pub boot_hash: u64,

@@ -39,6 +39,9 @@ pub fn reduce(genesis: &Genesis, log: &CommitLog) -> Result<KernelStateMachine, 
     }
     log.verify()?;
     let mut sm = genesis.build();
+    // The rebuilt log ends exactly as long as the input: sized up front,
+    // it never regrows, so no doubling copy adds to the peak memory.
+    sm.world_mut().commits.reserve(log.len());
     for sealed in log.entries() {
         sm.apply(&sealed.commit);
         let head = sm.world().commits.head();

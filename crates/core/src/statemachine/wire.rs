@@ -16,6 +16,15 @@
 //! log whose bytes were damaged in flight is caught here first with a
 //! precise reason.
 //!
+//! The same bytes are the canonical form of a commit: every writer
+//! streams into a [`Sink`], which is either a `Vec<u8>` (the wire) or an
+//! [`Fnv64`] (a seal or digest), so [`Commit::encoding_digest`] is
+//! FNV-1a over exactly the bytes that travel, computed with no buffer.
+//! The encoding depends only on what a value *is*: an ACL is its
+//! entries in order, never its derived lookup index, so equal commits
+//! seal equally and a seal survives a wire round trip. Changing the
+//! layout changes every seal, so it bumps [`WIRE_VERSION`].
+//!
 //! One representational constraint is inherited from the ACL layer:
 //! principal patterns are encoded component-wise and rebuilt through
 //! [`Acl::add`], whose `Person.Project.tag` syntax makes `.` a
@@ -24,7 +33,7 @@
 //! exact.
 
 use mks_fs::{Acl, AclMode, UserId};
-use mks_hw::{FaultEvent, FaultPlan, InjectKind, RingBrackets, SegNo};
+use mks_hw::{FaultEvent, FaultPlan, Fnv64, InjectKind, RingBrackets, SegNo};
 use mks_mls::{Compartments, Label, Level};
 
 use super::commit::{Commit, CommitLog, SealedCommit};
@@ -38,8 +47,11 @@ use crate::world::KProcId;
 pub const LOG_MAGIC: [u8; 4] = *b"MKCL";
 /// Magic prefix of an encoded [`MachineSnapshot`].
 pub const SNAP_MAGIC: [u8; 4] = *b"MKSN";
-/// Codec version, bumped on any layout change.
-pub const WIRE_VERSION: u16 = 1;
+/// Codec version, bumped on any layout change. Version 2 made the wire
+/// bytes the seal's input (version 1 sealed a `Debug` rendering), so a
+/// log sealed under the old definition is refused as
+/// [`WireError::BadVersion`] instead of failing its chain.
+pub const WIRE_VERSION: u16 = 2;
 
 /// Longest string the decoder will accept (names, patterns, audit
 /// details). Far above anything the kernel produces; a length field
@@ -136,41 +148,69 @@ impl std::error::Error for WireError {}
 
 // ---------------------------------------------------------------- writer
 
+/// Where the writers put bytes: a buffer (the wire itself) or a running
+/// FNV-1a digest (a seal), so what is sealed is byte for byte what
+/// travels.
+pub trait Sink {
+    /// Appends `bytes`.
+    fn put(&mut self, bytes: &[u8]);
+}
+
+impl Sink for Vec<u8> {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+impl Sink for Fnv64 {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.bytes(bytes);
+    }
+}
+
 /// Appends one byte.
-pub fn put_u8(buf: &mut Vec<u8>, v: u8) {
-    buf.push(v);
+#[inline]
+pub fn put_u8(buf: &mut impl Sink, v: u8) {
+    buf.put(&[v]);
 }
 
 /// Appends a little-endian `u16`.
-pub fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
+#[inline]
+pub fn put_u16(buf: &mut impl Sink, v: u16) {
+    buf.put(&v.to_le_bytes());
 }
 
 /// Appends a little-endian `u32`.
-pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
+#[inline]
+pub fn put_u32(buf: &mut impl Sink, v: u32) {
+    buf.put(&v.to_le_bytes());
 }
 
 /// Appends a little-endian `u64`.
-pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
+#[inline]
+pub fn put_u64(buf: &mut impl Sink, v: u64) {
+    buf.put(&v.to_le_bytes());
 }
 
 /// Appends a bool as one byte (0 or 1).
-pub fn put_bool(buf: &mut Vec<u8>, v: bool) {
-    buf.push(u8::from(v));
+#[inline]
+pub fn put_bool(buf: &mut impl Sink, v: bool) {
+    put_u8(buf, u8::from(v));
 }
 
 /// Appends a length-prefixed UTF-8 string (`u32` length, then bytes).
-pub fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
+#[inline]
+pub fn put_str(buf: &mut impl Sink, s: &str) {
+    put_bytes(buf, s.as_bytes());
 }
 
 /// Appends length-prefixed raw bytes (`u32` length, then bytes).
-pub fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
+#[inline]
+pub fn put_bytes(buf: &mut impl Sink, b: &[u8]) {
     put_u32(buf, b.len() as u32);
-    buf.extend_from_slice(b);
+    buf.put(b);
 }
 
 // ---------------------------------------------------------------- reader
@@ -279,7 +319,7 @@ impl<'a> Cursor<'a> {
 
 // ----------------------------------------------------- component codecs
 
-fn put_user(buf: &mut Vec<u8>, u: &UserId) {
+fn put_user(buf: &mut impl Sink, u: &UserId) {
     put_str(buf, &u.person);
     put_str(buf, &u.project);
     put_str(buf, &u.tag);
@@ -296,9 +336,28 @@ fn get_user(cur: &mut Cursor<'_>) -> Result<UserId, WireError> {
     })
 }
 
-fn put_label(buf: &mut Vec<u8>, l: &Label) {
+pub(super) fn put_label(buf: &mut impl Sink, l: &Label) {
     put_u8(buf, l.level.0);
     put_u64(buf, l.compartments.0);
+}
+
+/// Reads ring brackets, refusing any triple [`RingBrackets::new`] would
+/// normalize: a value has one byte form, so a corrupted byte cannot
+/// decode to the value it replaced.
+fn get_brackets(cur: &mut Cursor<'_>) -> Result<RingBrackets, WireError> {
+    let raw = [cur.u8()?, cur.u8()?, cur.u8()?];
+    let b = RingBrackets::new(raw[0], raw[1], raw[2]);
+    match raw
+        .into_iter()
+        .zip([b.r1, b.r2, b.r3])
+        .find(|(r, n)| r != n)
+    {
+        Some((tag, _)) => Err(WireError::BadTag {
+            what: "RingBrackets",
+            tag,
+        }),
+        None => Ok(b),
+    }
 }
 
 fn get_label(cur: &mut Cursor<'_>) -> Result<Label, WireError> {
@@ -307,7 +366,7 @@ fn get_label(cur: &mut Cursor<'_>) -> Result<Label, WireError> {
     Ok(Label::new(level, compartments))
 }
 
-fn put_acl(buf: &mut Vec<u8>, acl: &Acl<AclMode>) {
+fn put_acl(buf: &mut impl Sink, acl: &Acl<AclMode>) {
     put_u32(buf, acl.entries().len() as u32);
     for e in acl.entries() {
         put_str(buf, &e.person);
@@ -350,7 +409,7 @@ fn get_acl(cur: &mut Cursor<'_>) -> Result<Acl<AclMode>, WireError> {
     Ok(acl)
 }
 
-fn put_audit_event(buf: &mut Vec<u8>, e: &AuditEvent) {
+fn put_audit_event(buf: &mut impl Sink, e: &AuditEvent) {
     match e {
         AuditEvent::AccessDenied { what } => {
             put_u8(buf, 0);
@@ -413,7 +472,7 @@ fn get_audit_event(cur: &mut Cursor<'_>) -> Result<AuditEvent, WireError> {
     })
 }
 
-fn put_plan(buf: &mut Vec<u8>, plan: &FaultPlan) {
+fn put_plan(buf: &mut impl Sink, plan: &FaultPlan) {
     put_u64(buf, plan.seed);
     put_u32(buf, plan.events.len() as u32);
     for e in &plan.events {
@@ -442,9 +501,43 @@ fn get_plan(cur: &mut Cursor<'_>) -> Result<FaultPlan, WireError> {
     Ok(FaultPlan { seed, events })
 }
 
+/// Writes a [`Genesis`] recipe: the configuration switch by switch, then
+/// the sizing and the daemon count. A genesis travels only as its
+/// [`Genesis::digest`], which is FNV-1a over these bytes and the boot
+/// hash.
+pub(super) fn put_genesis(buf: &mut impl Sink, g: &Genesis) {
+    let c = &g.cfg;
+    for switch in [
+        c.linker as u8,
+        c.naming as u8,
+        c.io as u8,
+        c.paging as u8,
+        c.policy as u8,
+        c.login as u8,
+        c.init as u8,
+        u8::from(c.mls),
+        u8::from(c.revocation),
+    ] {
+        put_u8(buf, switch);
+    }
+    put_u64(buf, g.frames as u64);
+    put_u64(buf, g.bulk_records as u64);
+    match g.trace_capacity {
+        Some(n) => {
+            put_bool(buf, true);
+            put_u64(buf, n as u64);
+        }
+        None => put_bool(buf, false),
+    }
+    put_u32(buf, g.daemons);
+}
+
 // ----------------------------------------------------------- Commit
 
-fn put_commit(buf: &mut Vec<u8>, c: &Commit) {
+/// Writes one commit's canonical encoding: a variant tag, then its
+/// fields in declaration order. [`Commit::encoding_digest`] is FNV-1a
+/// over exactly these bytes.
+pub(super) fn put_commit(buf: &mut impl Sink, c: &Commit) {
     match c {
         Commit::CreateProcess { user, label, ring } => {
             put_u8(buf, 0);
@@ -635,7 +728,7 @@ fn get_commit(cur: &mut Cursor<'_>) -> Result<Commit, WireError> {
             dir: SegNo(cur.u16()?),
             name: cur.str("Commit.name")?,
             acl: get_acl(cur)?,
-            brackets: RingBrackets::new(cur.u8()?, cur.u8()?, cur.u8()?),
+            brackets: get_brackets(cur)?,
             label: get_label(cur)?,
         },
         5 => Commit::CreateDirectory {
@@ -747,7 +840,7 @@ fn get_commit(cur: &mut Cursor<'_>) -> Result<Commit, WireError> {
 
 /// Appends one [`SealedCommit`] (seq, chain, payload) to `buf`. Exposed
 /// so the replication frame codec can embed seals without re-framing.
-pub fn put_sealed(buf: &mut Vec<u8>, s: &SealedCommit) {
+pub fn put_sealed(buf: &mut impl Sink, s: &SealedCommit) {
     put_u64(buf, s.seq);
     put_u64(buf, s.chain);
     put_commit(buf, &s.commit);
@@ -993,6 +1086,165 @@ mod tests {
             decode_snapshot(&sb, &other),
             Err(WireError::ForeignGenesis { .. })
         ));
+    }
+
+    /// One commit of every [`Commit`] variant, in declaration order.
+    fn every_variant() -> Vec<Commit> {
+        let pid = KProcId(1);
+        let dir = SegNo(0o100);
+        let label = Label::new(Level(1), Compartments(0b101));
+        let mut acl = Acl::of("*.*.*", AclMode::R);
+        acl.add("Jones.CSR.a", AclMode::RW);
+        vec![
+            Commit::CreateProcess {
+                user: UserId::new("Jones", "CSR", "a"),
+                label,
+                ring: 4,
+            },
+            Commit::DestroyProcess { pid: KProcId(9) },
+            Commit::BindRoot { pid },
+            Commit::Initiate {
+                pid,
+                dir,
+                name: "notes".into(),
+            },
+            Commit::CreateSegment {
+                pid,
+                dir,
+                name: "notes".into(),
+                acl: acl.clone(),
+                brackets: RingBrackets::new(4, 4, 5),
+                label,
+            },
+            Commit::CreateDirectory {
+                pid,
+                dir,
+                name: "sub".into(),
+                label,
+            },
+            Commit::DeleteSegment {
+                pid,
+                dir,
+                name: "notes".into(),
+            },
+            Commit::SetSegmentAcl {
+                pid,
+                dir,
+                name: "notes".into(),
+                acl,
+            },
+            Commit::SetQuota {
+                pid,
+                dir,
+                limit_pages: 64,
+            },
+            Commit::ListDir { pid, dir },
+            Commit::Read {
+                pid,
+                seg: SegNo(0o101),
+                offset: 3,
+            },
+            Commit::Write {
+                pid,
+                seg: SegNo(0o101),
+                offset: 3,
+                value: 0o52,
+            },
+            Commit::Terminate {
+                pid,
+                seg: SegNo(0o101),
+            },
+            Commit::CallGate {
+                pid,
+                gate: "hcs_".into(),
+                entry: "metering_get".into(),
+            },
+            Commit::MeteringGet { pid },
+            Commit::Audit {
+                who: Some(UserId::new("Jones", "CSR", "a")),
+                event: AuditEvent::Overload {
+                    what: "ast".into(),
+                    pressure_permille: 900,
+                },
+            },
+            Commit::Tick { times: 2 },
+            Commit::Wakeup { daemon: 0 },
+            Commit::AdmissionEnable {
+                config: crate::pressure::PressureConfig::default(),
+            },
+            Commit::SetPriority {
+                pid,
+                priority: Priority::Interactive,
+            },
+            Commit::ArmPlan {
+                plan: FaultPlan {
+                    seed: 7,
+                    events: vec![FaultEvent {
+                        kind: InjectKind::Crash,
+                        nth: 3,
+                        detail: 1,
+                    }],
+                },
+            },
+            Commit::Disarm,
+            Commit::CrashPoll,
+            Commit::Salvage,
+            Commit::BootCheck,
+        ]
+    }
+
+    #[test]
+    fn the_chain_head_of_every_variant_is_pinned() {
+        let mut log = CommitLog::new();
+        log.seed(Genesis::kernel_small().digest());
+        for c in every_variant() {
+            log.append(c);
+        }
+        // Seals are FNV-1a over the wire encoding, so this head may
+        // change only together with WIRE_VERSION. (Its root, the genesis
+        // digest, also covers the boot target.)
+        assert_eq!(WIRE_VERSION, 2);
+        assert_eq!(log.len(), 25);
+        assert_eq!(log.head(), 0x6010_7ad2_d30f_6573);
+    }
+
+    #[test]
+    fn a_log_of_an_older_wire_version_is_refused_by_version() {
+        let (_, log) = recorded_log();
+        let mut old = encode_commit_log(&log);
+        old[4..6].copy_from_slice(&1u16.to_le_bytes());
+        assert_eq!(
+            decode_commit_log(&old),
+            Err(WireError::BadVersion { found: 1 })
+        );
+    }
+
+    #[test]
+    fn brackets_decode_only_in_their_canonical_form() {
+        let mut log = CommitLog::new();
+        log.seed(7);
+        log.append(Commit::CreateSegment {
+            pid: KProcId(1),
+            dir: SegNo(0o100),
+            name: "s".into(),
+            acl: Acl::empty(),
+            brackets: RingBrackets::new(7, 7, 7),
+            label: Label::BOTTOM,
+        });
+        let mut bytes = encode_commit_log(&log);
+        // The brackets sit just before the 9-byte label at the end. A
+        // flipped bit that `RingBrackets::new` would clamp back to 7 must
+        // not decode to the original commit.
+        let r1 = bytes.len() - 9 - 3;
+        assert_eq!(bytes[r1..r1 + 3], [7, 7, 7]);
+        bytes[r1] ^= 0x08;
+        assert_eq!(
+            decode_commit_log(&bytes),
+            Err(WireError::BadTag {
+                what: "RingBrackets",
+                tag: 15
+            })
+        );
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! on the path fails here instead of showing up as lost throughput.
 //!
 //! The count is per thread, so other tests running in parallel do not
-//! disturb it.
+//! disturb it. The commit seal, which every replayable operation pays,
+//! is pinned the same way.
 
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::cell::Cell;
@@ -19,6 +20,7 @@ use mks_hw::{RingBrackets, Word};
 use mks_kernel::config::KernelConfig;
 use mks_kernel::monitor::Monitor;
 use mks_kernel::world::{admin_user, KProcId, System};
+use mks_kernel::Commit;
 use mks_mls::Label;
 
 struct CountingAlloc;
@@ -120,4 +122,25 @@ fn warm_metering_gate_call_allocates_the_pinned_count() {
     let (n, ring) = allocs_of(|| Monitor::call_gate(&mut sys.world, pid, "hcs_", "metering_get"));
     assert!(ring.is_ok());
     assert_eq!(n, 2, "heap allocations in one warm Monitor::call_gate");
+}
+
+#[test]
+fn sealing_a_commit_allocates_nothing() {
+    // Every applied commit is sealed, and an audit re-seals it three
+    // more times: the seal streams the wire bytes into the digest.
+    let mut acl = Acl::of("*.*.*", AclMode::R);
+    for i in 0..8 {
+        acl.add(&format!("P{i}.Proj.a"), AclMode::RW);
+    }
+    let commit = Commit::CreateSegment {
+        pid: KProcId(1),
+        dir: mks_hw::SegNo(0o100),
+        name: "pool_17".into(),
+        acl,
+        brackets: RingBrackets::new(4, 4, 4),
+        label: Label::BOTTOM,
+    };
+    let (n, seal) = allocs_of(|| commit.encoding_digest());
+    assert_ne!(seal, 0);
+    assert_eq!(n, 0, "heap allocations in one Commit::encoding_digest");
 }

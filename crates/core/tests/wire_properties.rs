@@ -5,17 +5,51 @@
 //! corruption is ever silently accepted as the original artifact.
 
 use mks_fs::{Acl, AclMode};
-use mks_hw::SegNo;
+use mks_hw::{RingBrackets, SegNo};
 use mks_kernel::statemachine::{
     decode_commit_log, decode_snapshot, encode_commit_log, encode_snapshot, snapshot_at, Commit,
     CommitLog, Genesis, WireError,
 };
 use mks_kernel::world::KProcId;
 use mks_kernel::AuditEvent;
+use mks_mls::{Compartments, Label, Level};
 use proptest::prelude::*;
 
+/// An ACL of several exact principals (and perhaps `*.*.*`), built the
+/// way the kernel edits one: additions, then removals of some entries.
+/// The removals leave the ACL's lookup index shaped by its history,
+/// which the decoder's freshly built copy does not share; the seal must
+/// not see the difference.
+fn arb_acl() -> impl Strategy<Value = Acl<AclMode>> {
+    (
+        any::<bool>(),
+        prop::collection::vec(0u32..32, 0..20),
+        prop::collection::vec(any::<prop::sample::Index>(), 0..16),
+    )
+        .prop_map(|(wild, added, removed)| {
+            let mut acl = Acl::empty();
+            if wild {
+                acl.add("*.*.*", AclMode::R);
+            }
+            for p in added {
+                let mode = [AclMode::R, AclMode::RW, AclMode::REW][p as usize % 3];
+                acl.add(&format!("P{p}.Proj.a"), mode);
+            }
+            for r in removed {
+                let entries = acl.entries();
+                if entries.is_empty() {
+                    break;
+                }
+                let e = &entries[r.index(entries.len())];
+                let pattern = format!("{}.{}.{}", e.person, e.project, e.tag);
+                acl.remove(&pattern);
+            }
+            acl
+        })
+}
+
 /// Commits spanning every codec feature class: scalar-only, strings,
-/// options, ACL patterns and nested audit events.
+/// options, edited ACLs, labels and nested audit events.
 fn arb_commit() -> impl Strategy<Value = Commit> {
     prop_oneof![
         (0u32..4).prop_map(|times| Commit::Tick { times }),
@@ -49,18 +83,30 @@ fn arb_commit() -> impl Strategy<Value = Commit> {
                 value,
             }
         }),
-        (0u32..9, 0u16..9, "[a-z]{1,8}", any::<bool>()).prop_map(|(pid, dir, name, open)| {
+        (0u32..9, 0u16..9, "[a-z]{1,8}", arb_acl()).prop_map(|(pid, dir, name, acl)| {
             Commit::SetSegmentAcl {
                 pid: KProcId(pid),
                 dir: SegNo(dir),
                 name,
-                acl: if open {
-                    Acl::of("*.*.*", AclMode::RW)
-                } else {
-                    Acl::of("Admin.SysAdmin.a", AclMode::REW)
-                },
+                acl,
             }
         }),
+        (
+            (0u32..9, 0u16..9, "[a-z]{1,8}", arb_acl()),
+            (0u8..8, 0u8..8, 0u8..8, 0u8..4, any::<u64>()),
+        )
+            .prop_map(
+                |((pid, dir, name, acl), (r1, r2, r3, level, compartments))| {
+                    Commit::CreateSegment {
+                        pid: KProcId(pid),
+                        dir: SegNo(dir),
+                        name,
+                        acl,
+                        brackets: RingBrackets::new(r1, r2, r3),
+                        label: Label::new(Level(level), Compartments(compartments)),
+                    }
+                }
+            ),
         (any::<bool>(), "[a-z ]{0,20}").prop_map(|(success, what)| Commit::Audit {
             who: None,
             event: if success {

@@ -163,9 +163,10 @@ impl DirNode {
         self.branches.push(branch);
     }
 
-    /// Re-derives both indexes from the branch list. Called after any
-    /// mutation that removes or reorders branches/names (all cold paths:
-    /// deletion, the salvager, injected tears).
+    /// Re-derives both indexes from the branch list. Called after
+    /// mutations that drop names or several branches at once: name
+    /// removal, the salvager and injected tears. Deleting one branch
+    /// keeps the indexes in place instead ([`DirNode::remove_branch`]).
     pub(crate) fn reindex(&mut self) {
         self.name_index.clear();
         self.uid_index.clear();
@@ -175,6 +176,21 @@ impl DirNode {
             }
             self.uid_index.entry(b.uid).or_insert(i);
         }
+    }
+
+    /// Removes the branch at `idx` and leaves both indexes exactly as
+    /// [`DirNode::reindex`] would derive them, without rebuilding: each
+    /// of its names and its uid passes to the next holder a damaged
+    /// directory may have (first-wins) or leaves the index, and every
+    /// later position moves down by one.
+    pub(crate) fn remove_branch(&mut self, idx: usize) -> Branch {
+        let branch = self.branches.remove(idx);
+        let later = &self.branches[idx..];
+        self.name_index
+            .retain(|n, i| shift_past(i, idx, || later.iter().position(|b| b.has_name(n))));
+        self.uid_index
+            .retain(|u, i| shift_past(i, idx, || later.iter().position(|b| b.uid == *u)));
+        branch
     }
 
     /// Position of the first branch answering to `name`, plus the number
@@ -203,6 +219,21 @@ impl DirNode {
             None => (None, 1),
         }
     }
+}
+
+/// One index entry's step when the branch at `idx` is removed: an entry
+/// it held moves to the key's next holder (`next`, counted from `idx`)
+/// or is dropped (returns false); a later position moves down by one.
+fn shift_past(i: &mut usize, idx: usize, next: impl FnOnce() -> Option<usize>) -> bool {
+    if *i == idx {
+        match next() {
+            Some(p) => *i = idx + p,
+            None => return false,
+        }
+    } else if *i > idx {
+        *i -= 1;
+    }
+    true
 }
 
 /// The hierarchy: a tree of directories rooted at [`FileSystem::ROOT`].
@@ -517,10 +548,7 @@ impl FileSystem {
         if self.uid_dir.get(&uid) == Some(&dir) {
             self.uid_dir.remove(&uid);
         }
-        let node = self.dir_mut(dir)?;
-        let branch = node.branches.remove(idx);
-        node.reindex();
-        Ok(branch)
+        Ok(self.dir_mut(dir)?.remove_branch(idx))
     }
 
     /// Adds an extra name to a branch. Requires `m` on the directory.

@@ -22,6 +22,8 @@
 
 pub mod acl;
 pub mod det_hash;
+#[cfg(test)]
+mod dir_index_props;
 pub mod hierarchy;
 pub mod kst;
 pub mod kst_legacy;

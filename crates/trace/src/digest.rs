@@ -10,11 +10,9 @@
 //! in other crates (commit sealing seals every operation) still inline
 //! them.
 
-use std::fmt;
-
 /// Streaming 64-bit FNV-1a. Feeding the same bytes in any split yields
-/// the same digest, so callers hash rendered text piecewise (through
-/// [`fmt::Write`]) instead of concatenating it first.
+/// the same digest, so callers hash an encoding piecewise as they write
+/// it instead of concatenating it first.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Fnv64(u64);
 
@@ -67,14 +65,6 @@ impl Default for Fnv64 {
     }
 }
 
-impl fmt::Write for Fnv64 {
-    #[inline]
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.bytes(s.as_bytes());
-        Ok(())
-    }
-}
-
 /// FNV-1a over one byte string.
 #[inline]
 pub fn fnv64(bytes: &[u8]) -> u64 {
@@ -123,7 +113,6 @@ impl SplitMix64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::fmt::Write as _;
 
     #[test]
     fn fnv64_matches_the_published_vectors() {
@@ -135,8 +124,7 @@ mod tests {
     #[test]
     fn streaming_is_split_invariant_and_words_fold_whole() {
         let mut h = Fnv64::new();
-        let (o, n) = ('o', 0xba);
-        write!(h, "fo{o}{n}").unwrap();
+        h.bytes(b"fo").bytes(b"").bytes(b"o186");
         h.bytes(b"r");
         assert_eq!(h.finish(), fnv64(b"foo186r"));
         // A byte is the word step over a value below 256.
