@@ -20,7 +20,8 @@ use std::collections::BTreeSet;
 use std::fmt::Write;
 
 use mks_hw::{FaultEvent, FaultPlan, InjectKind};
-use mks_kernel::recovery::{run_plan, run_seed, RecoveryOpts, RecoveryOutcome, SalvageMutation};
+use mks_kernel::recovery::{run_plan, run_seed, RecoveryOutcome, SalvageMutation};
+use mks_kernel::statemachine::WorkloadSpec;
 
 use super::ExperimentOutput;
 use crate::claims::{ClaimResult, ClaimShape};
@@ -51,11 +52,11 @@ pub struct Measurement {
     pub lower_violations: usize,
 }
 
-/// A plan guaranteed to damage the tree: tear the first branch creations
-/// with tear mode `detail`, at both a directory-shaped and a
+/// A workload guaranteed to damage the tree: tear the first branch
+/// creations with tear mode `detail`, at both a directory-shaped and a
 /// segment-shaped hit.
-fn crafted_plan(detail: u64) -> FaultPlan {
-    FaultPlan::from_events(vec![
+fn crafted_spec(detail: u64) -> WorkloadSpec {
+    WorkloadSpec::of_plan(FaultPlan::from_events(vec![
         FaultEvent {
             kind: InjectKind::TearBranch,
             nth: 0,
@@ -66,20 +67,20 @@ fn crafted_plan(detail: u64) -> FaultPlan {
             nth: 3,
             detail,
         },
-    ])
+    ]))
 }
 
 /// Runs the sweep, the crafted arm coverage, the replay check, and the
 /// broken-salvager mutations.
 pub fn measure() -> Measurement {
-    let opts = RecoveryOpts::default();
+    let honest = SalvageMutation::None;
     let mut kinds: BTreeSet<&'static str> = BTreeSet::new();
 
     let mut per_seed = Vec::new();
     let mut replay_mismatches = 0u64;
     for seed in 1..=SWEEP_SEEDS {
-        let out = run_seed(seed, opts);
-        if seed <= 4 && run_seed(seed, opts) != out {
+        let out = run_seed(seed, honest);
+        if seed <= 4 && run_seed(seed, honest) != out {
             replay_mismatches += 1;
         }
         kinds.extend(out.problem_kinds.iter().copied());
@@ -88,7 +89,7 @@ pub fn measure() -> Measurement {
 
     let mut crafted = Vec::new();
     for detail in 0..8 {
-        let out = run_plan(&crafted_plan(detail), opts);
+        let out = run_plan(&crafted_spec(detail), honest);
         kinds.extend(out.problem_kinds.iter().copied());
         crafted.push((detail, out));
     }
@@ -96,19 +97,10 @@ pub fn measure() -> Measurement {
     // The mutation check: a deliberately-broken recovery path must be
     // caught. Reuse a crafted damaging plan so the skip has something to
     // miss; the lowering needs only a surviving non-BOTTOM label.
-    let skip = run_plan(
-        &crafted_plan(1),
-        RecoveryOpts {
-            mutation: SalvageMutation::SkipSalvage,
-            ..opts
-        },
-    );
+    let skip = run_plan(&crafted_spec(1), SalvageMutation::SkipSalvage);
     let lower = run_plan(
-        &FaultPlan::from_events(vec![]),
-        RecoveryOpts {
-            mutation: SalvageMutation::LowerAfterRepair,
-            ..opts
-        },
+        &WorkloadSpec::of_plan(FaultPlan::from_events(vec![])),
+        SalvageMutation::LowerAfterRepair,
     );
 
     Measurement {

@@ -25,9 +25,10 @@
 use std::fmt::Write;
 
 use mks_fs::{Acl, AclMode, DirMode, FileSystem, QuotaCell, UserId};
-use mks_hw::{FaultPlan, RingBrackets, SplitMix64, Word};
+use mks_hw::{RingBrackets, SplitMix64, Word};
 use mks_kernel::pressure::{PressureConfig, Priority, NR_PRIORITIES};
-use mks_kernel::recovery::{run_plan, RecoveryOpts};
+use mks_kernel::recovery::{run_plan, SalvageMutation};
+use mks_kernel::statemachine::WorkloadSpec;
 use mks_kernel::world::{admin_user, System, SystemSize};
 use mks_kernel::{KernelConfig, Monitor};
 use mks_mls::Label;
@@ -264,14 +265,7 @@ pub fn measure() -> Measurement {
     let mut recovery = Vec::new();
     let mut exhaustion_fired = 0u64;
     for seed in 1..=RECOVERY_SEEDS {
-        let plan = FaultPlan::generate_overload(seed);
-        let out = run_plan(
-            &plan,
-            RecoveryOpts {
-                overload: true,
-                ..RecoveryOpts::default()
-            },
-        );
+        let out = run_plan(&WorkloadSpec::overload(seed), SalvageMutation::None);
         exhaustion_fired += out
             .fired
             .iter()

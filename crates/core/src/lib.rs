@@ -68,7 +68,7 @@ pub use par::{differential_mismatches, lane_reports, run_lanes, LaneConfig, Lane
 pub use pressure::{
     read_pressure, AdmissionControl, PressureConfig, PressureReading, Priority, Resource,
 };
-pub use recovery::{RecoveryOpts, RecoveryOutcome, SalvageMutation};
+pub use recovery::{RecoveryOutcome, SalvageMutation};
 pub use replicate::{Cluster, DriveReport, ReplConfig, ReplError, ReplEvent, Role};
 pub use statemachine::{
     Commit, CommitLog, Genesis, KernelStateMachine, MachineSnapshot, Outcome, ReplayError,

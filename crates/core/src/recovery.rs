@@ -6,12 +6,14 @@
 //! back *securely* from a crash: "the salvager repairs the hierarchy in
 //! the restrictive direction" and initialization from a pre-built memory
 //! image "always produces the same protected state". This module turns
-//! that argument into an executable check. [`run_plan`] builds a small
-//! system, arms the fault injector with a seeded [`FaultPlan`], drives a
-//! mixed workload (hierarchy creation, paging traffic, denied references,
-//! IPC wakeups) until the plan's `Crash` event kills it mid-operation,
-//! then recovers — re-boot from the memory image, official salvage — and
-//! asserts the invariants the rest of the tree relies on:
+//! that argument into an executable check. [`run_plan`] builds the small
+//! replayable system and sends the shared mixed workload of a
+//! [`WorkloadSpec`] (hierarchy creation, paging traffic, denied
+//! references, IPC wakeups under a seeded fault plan) through the state
+//! machine's single door as sealed commits, until the plan's `Crash`
+//! event kills it mid-operation. It then recovers — re-boot from the
+//! memory image, official salvage — and asserts the invariants the rest
+//! of the tree relies on:
 //!
 //! 1. **labels only raised** — no surviving branch's label moved downward
 //!    across recovery (restrictive repair, the paper's rule);
@@ -31,17 +33,16 @@
 
 use std::collections::BTreeMap;
 
-use mks_fs::{Acl, AclMode, Problem, UserId};
-use mks_hw::{CpuModel, FaultPlan, FiredFault, InjectKind, RingBrackets, SplitMix64, Word};
-use mks_mls::{Compartments, Label, Level};
-use mks_procs::{Effects, FnJob, Step};
+use mks_fs::Problem;
+use mks_hw::FiredFault;
+use mks_mls::Label;
 
-use crate::config::KernelConfig;
 use crate::gatetable::GateTable;
 use crate::init::image::{build_image, load_image};
 use crate::init::{state_hash, target_state};
-use crate::monitor::Monitor;
-use crate::world::{admin_user, System, SystemSize};
+use crate::statemachine::workload::{mixed_workload, pid_of};
+use crate::statemachine::{Commit, Genesis, Outcome, WorkloadSpec};
+use crate::world::admin_user;
 
 /// A deliberate defect in the recovery path, used to prove the harness
 /// detects a broken salvager (the mutation check of experiment E15).
@@ -57,42 +58,11 @@ pub enum SalvageMutation {
     LowerAfterRepair,
 }
 
-/// Sizing and shape of one recovery run.
-#[derive(Clone, Copy, Debug)]
-pub struct RecoveryOpts {
-    /// Workload operations attempted before a natural stop (a `Crash`
-    /// event in the plan usually stops the run earlier).
-    pub ops: u64,
-    /// Primary-memory frames (small, to force paging traffic).
-    pub frames: usize,
-    /// Bulk-store records.
-    pub bulk_records: usize,
-    /// Deliberate recovery defect, if any.
-    pub mutation: SalvageMutation,
-    /// Run the workload with admission control **enabled** (default
-    /// pressure config, mixed priority classes), so a crash can land while
-    /// the kernel is actively shedding load. The five invariants must hold
-    /// either way — overload is not an excuse to come back insecure.
-    pub overload: bool,
-}
-
-impl Default for RecoveryOpts {
-    fn default() -> RecoveryOpts {
-        RecoveryOpts {
-            ops: 32,
-            frames: 16,
-            bulk_records: 64,
-            mutation: SalvageMutation::None,
-            overload: false,
-        }
-    }
-}
-
-/// What one recovery run observed. Two runs of the same plan and options
-/// compare equal — the harness is deterministic by construction.
-#[derive(Clone, PartialEq, Debug)]
+/// What one recovery run observed. Two runs of the same spec and
+/// mutation compare equal — the harness is deterministic by construction.
+#[derive(Clone, PartialEq, Debug, Default)]
 pub struct RecoveryOutcome {
-    /// The plan's seed (0 for hand-built plans).
+    /// The workload's mix seed ([`WorkloadSpec::seed`]).
     pub seed: u64,
     /// Whether a `Crash` event stopped the workload mid-stream.
     pub crashed: bool,
@@ -144,181 +114,56 @@ pub fn problem_kind(p: &Problem) -> &'static str {
     }
 }
 
-fn stranger_user() -> UserId {
-    UserId::new("Mallory", "Guest", "a")
+/// The distinct kind names of `problems`, sorted.
+fn kinds_of(problems: &[Problem]) -> Vec<&'static str> {
+    let mut kinds: Vec<&'static str> = problems.iter().map(problem_kind).collect();
+    kinds.sort_unstable();
+    kinds.dedup();
+    kinds
 }
 
-/// Runs the seeded plan `FaultPlan::generate(seed)` through the harness.
-pub fn run_seed(seed: u64, opts: RecoveryOpts) -> RecoveryOutcome {
-    run_plan(&FaultPlan::generate(seed), opts)
+/// Runs the E15 workload under `FaultPlan::generate(seed)`.
+pub fn run_seed(seed: u64, mutation: SalvageMutation) -> RecoveryOutcome {
+    run_plan(&WorkloadSpec::faults(seed), mutation)
 }
 
-/// Runs one plan: workload under injection, crash, recovery, invariants.
-pub fn run_plan(plan: &FaultPlan, opts: RecoveryOpts) -> RecoveryOutcome {
-    let cfg = KernelConfig::kernel();
-    let mut sys = System::with_size(
-        cfg,
-        SystemSize {
-            frames: opts.frames,
-            bulk_records: opts.bulk_records,
-            cpu: CpuModel::H6180,
-            ..SystemSize::default()
-        },
+/// Runs one workload: the mix under its plan (through
+/// [`KernelStateMachine::apply`](crate::statemachine::KernelStateMachine::apply),
+/// so every step is a sealed commit), crash, recovery, invariants.
+pub fn run_plan(spec: &WorkloadSpec, mutation: SalvageMutation) -> RecoveryOutcome {
+    let mut sm = Genesis::kernel_small().build();
+    let mix = mixed_workload(
+        &mut sm,
+        spec.seed,
+        spec.ops,
+        Some(&spec.plan),
+        spec.overload,
     );
-    let inject = sys.world.vm.machine.inject.clone();
-
-    // Principals: the administrator does the work, a stranger provides
-    // denied references (audit-log traffic through the SkewClock site).
-    let admin = sys.world.create_process(admin_user(), Label::BOTTOM, 4);
-    let root = sys.world.bind_root(admin);
-    let stranger = sys.world.create_process(stranger_user(), Label::BOTTOM, 4);
-    let sroot = sys.world.bind_root(stranger);
-
-    // A paging probe the workload hammers (admin-only, so the stranger's
-    // initiates are denied).
-    let probe = Monitor::create_segment(
-        &mut sys.world,
-        admin,
-        root,
-        "probe",
-        Acl::of("Admin.SysAdmin.a", AclMode::RW),
-        RingBrackets::new(4, 4, 4),
-        Label::BOTTOM,
-    )
-    .expect("probe segment creates on a fresh system");
-
-    // A dedicated daemon blocking on an event channel: the DropWakeup
-    // injection point has something real to starve.
-    let daemon_event = sys.tc.alloc_event();
-    sys.tc.add_dedicated(Box::new(FnJob::new(
-        "recovery-daemon",
-        move |_e: &mut Effects<'_, crate::world::KernelWorld>| Step::Block(daemon_event),
-    )));
-    for _ in 0..4 {
-        sys.tc.tick(&mut sys.world);
-    }
-
-    // Setup is done; everything from here on runs under the plan. In
-    // overload mode the admission layer is armed as well, with the admin
-    // above the stranger in the shed order — so the plan's exhaustion
-    // events land on a kernel that is actively prioritizing.
-    if opts.overload {
-        sys.world
-            .admission
-            .enable(crate::pressure::PressureConfig::default());
-        sys.world
-            .admission
-            .set_priority(admin, crate::pressure::Priority::Interactive);
-        sys.world
-            .admission
-            .set_priority(stranger, crate::pressure::Priority::Background);
-    }
-    inject.arm(plan);
-
-    // The workload proper. Operations on a damaged hierarchy may be
-    // refused — deterministic refusals are part of the scenario. The
-    // `Crash` injection point is consulted at every operation boundary,
-    // so a plan chooses exactly which operation the kill interrupts.
-    let mut rng = SplitMix64::new(plan.seed ^ 0xd1f7_ac75_0bad_c0de);
-    let mut dirs = vec![root];
-    let mut crashed = false;
-    let mut ops_run = 0u64;
-    let secret = Label::new(Level::SECRET, Compartments::of(&[1]));
-    for i in 0..opts.ops {
-        if inject.fires(InjectKind::Crash).is_some() {
-            crashed = true;
-            break;
-        }
-        ops_run += 1;
-        match rng.below(6) {
-            0 => {
-                let parent = dirs[rng.below(dirs.len() as u64) as usize];
-                let label = if rng.below(2) == 0 {
-                    Label::BOTTOM
-                } else {
-                    secret
-                };
-                if let Ok(segno) = Monitor::create_directory(
-                    &mut sys.world,
-                    admin,
-                    parent,
-                    &format!("d{i}"),
-                    label,
-                ) {
-                    dirs.push(segno);
-                }
-            }
-            1 => {
-                let parent = dirs[rng.below(dirs.len() as u64) as usize];
-                let _ = Monitor::create_segment(
-                    &mut sys.world,
-                    admin,
-                    parent,
-                    &format!("s{i}"),
-                    Acl::of("*.*.*", AclMode::RW),
-                    RingBrackets::new(4, 4, 4),
-                    secret,
-                );
-            }
-            2 => {
-                // Paging churn through the monitor: the SlowDisk/FailDisk
-                // sites fire inside the transfers this provokes.
-                let off = rng.below(64) as usize;
-                let _ = Monitor::write(&mut sys.world, admin, probe, off, Word::new(i + 1));
-                let _ = Monitor::read(&mut sys.world, admin, probe, off);
-            }
-            3 => {
-                // A denied reference: audit-log traffic through the
-                // monitor's timestamp (SkewClock) site.
-                let _ = Monitor::initiate(&mut sys.world, stranger, sroot, "probe");
-            }
-            4 => {
-                sys.tc.wakeup_external(&mut sys.world, daemon_event);
-                sys.tc.tick(&mut sys.world);
-            }
-            _ => {
-                sys.tc.tick(&mut sys.world);
-                sys.tc.tick(&mut sys.world);
-            }
-        }
-    }
-    for _ in 0..4 {
-        sys.tc.tick(&mut sys.world);
-    }
-    inject.disarm();
-    let fired = inject.fired();
+    let world = sm.world_mut();
+    let fired = world.vm.machine.inject.fired();
 
     // Snapshot what must survive recovery.
-    let census_before: BTreeMap<_, _> = sys.world.fs.label_census().into_iter().collect();
+    let census_before: BTreeMap<_, _> = world.fs.label_census().into_iter().collect();
     let gates_before = (
-        sys.world.gates.total_entries(),
-        sys.world.gates.user_available_entries(),
+        world.gates.total_entries(),
+        world.gates.user_available_entries(),
     );
 
     let mut out = RecoveryOutcome {
-        seed: plan.seed,
-        crashed,
-        ops_run,
+        seed: spec.seed,
+        crashed: mix.crashed,
+        ops_run: mix.ops_run,
         fired,
-        problems_found: 0,
-        repaired: 0,
-        problem_kinds: Vec::new(),
-        labels_lowered: 0,
-        residual_damage: 0,
-        census_drift: 0,
-        monitor_misses: 0,
-        boot_divergence: 0,
-        mutation_applied: false,
-        violations: Vec::new(),
+        ..RecoveryOutcome::default()
     };
 
     // --- Recovery step 1: re-boot through initialization. The memory
     // image is configuration state, not crash state: it must still load,
     // and load to exactly the pre-computed target.
-    let img = build_image(&sys.world.cfg);
-    match load_image(&img, &sys.world.vm.machine.clock) {
+    let img = build_image(&world.cfg);
+    match load_image(&img, &world.vm.machine.clock) {
         Ok((state, _)) => {
-            let expected = state_hash(&target_state(&sys.world.cfg));
+            let expected = state_hash(&target_state(&world.cfg));
             if state_hash(&state) != expected {
                 out.boot_divergence += 1;
                 out.violations
@@ -333,33 +178,27 @@ pub fn run_plan(plan: &FaultPlan, opts: RecoveryOpts) -> RecoveryOutcome {
     }
 
     // --- Recovery step 2: the salvage pass (possibly mutated).
-    match opts.mutation {
+    match mutation {
         SalvageMutation::SkipSalvage => {
             out.mutation_applied = true;
         }
         SalvageMutation::None | SalvageMutation::LowerAfterRepair => {
-            let report = sys.world.fs.salvage();
+            let report = world.fs.salvage();
             out.problems_found = report.problems.len();
             out.repaired = report.repaired;
-            let mut kinds: Vec<&'static str> = report.problems.iter().map(problem_kind).collect();
-            kinds.sort_unstable();
-            kinds.dedup();
-            out.problem_kinds = kinds;
-            if opts.mutation == SalvageMutation::LowerAfterRepair {
+            out.problem_kinds = kinds_of(&report.problems);
+            if mutation == SalvageMutation::LowerAfterRepair {
                 // Lower the first surviving non-BOTTOM label (uids are
                 // unique post-salvage, so the lookup is deterministic).
-                let target = sys
-                    .world
+                let target = world
                     .fs
                     .label_census()
                     .into_iter()
                     .find(|(_, label)| *label != Label::BOTTOM);
                 if let Some((uid, _)) = target {
-                    if let Some((dir, _)) = sys.world.fs.find_by_uid(uid) {
+                    if let Some((dir, _)) = world.fs.find_by_uid(uid) {
                         out.mutation_applied =
-                            sys.world
-                                .fs
-                                .apply_tear(dir, uid, mks_fs::TearMode::LowerLabel);
+                            world.fs.apply_tear(dir, uid, mks_fs::TearMode::LowerLabel);
                     }
                 }
             }
@@ -368,7 +207,7 @@ pub fn run_plan(plan: &FaultPlan, opts: RecoveryOpts) -> RecoveryOutcome {
 
     // --- Invariant 1: labels only raised. Every branch that survived
     // recovery must carry a label dominating what it had at the crash.
-    for (uid, after) in sys.world.fs.label_census() {
+    for (uid, after) in world.fs.label_census() {
         if let Some(before) = census_before.get(&uid) {
             if !after.dominates(before) {
                 out.labels_lowered += 1;
@@ -383,25 +222,23 @@ pub fn run_plan(plan: &FaultPlan, opts: RecoveryOpts) -> RecoveryOutcome {
     // --- Invariant 2: no residual damage. A fresh consistency pass after
     // recovery must report a clean hierarchy; anything it finds means the
     // official salvage was skipped, incomplete, or not idempotent.
-    let recheck = sys.world.fs.salvage();
+    let recheck = world.fs.salvage();
     if !recheck.clean() {
         out.residual_damage += recheck.problems.len() as u64;
-        let mut kinds: Vec<&'static str> = recheck.problems.iter().map(problem_kind).collect();
-        kinds.sort_unstable();
-        kinds.dedup();
         out.violations.push(format!(
-            "residual: {} problem(s) survived recovery: {kinds:?}",
-            recheck.problems.len()
+            "residual: {} problem(s) survived recovery: {:?}",
+            recheck.problems.len(),
+            kinds_of(&recheck.problems)
         ));
     }
 
     // --- Invariant 3: gate census unchanged. The protected entry-point
     // surface is a function of the configuration alone.
     let gates_after = (
-        sys.world.gates.total_entries(),
-        sys.world.gates.user_available_entries(),
+        world.gates.total_entries(),
+        world.gates.user_available_entries(),
     );
-    let rebuilt = GateTable::build(&sys.world.cfg);
+    let rebuilt = GateTable::build(&world.cfg);
     let gates_target = (rebuilt.total_entries(), rebuilt.user_available_entries());
     if gates_after != gates_before || gates_after != gates_target {
         out.census_drift += 1;
@@ -414,20 +251,30 @@ pub fn run_plan(plan: &FaultPlan, opts: RecoveryOpts) -> RecoveryOutcome {
     // post-recovery reference must move the verdict counters and leave a
     // verdict record in the flight recorder — if it does not, references
     // are flowing around the monitor.
-    let trace = sys.world.vm.machine.trace.clone();
+    let trace = world.vm.machine.trace.clone();
     let granted_before = trace.counter("monitor.granted");
     let denied_before = trace.counter("monitor.denied");
-    let post = sys.world.create_process(admin_user(), Label::BOTTOM, 4);
-    let post_root = sys.world.bind_root(post);
-    let first = Monitor::terminate(&mut sys.world, post, post_root);
-    let second = Monitor::terminate(&mut sys.world, post, post_root);
+    let post = pid_of(sm.apply(&Commit::CreateProcess {
+        user: admin_user(),
+        label: Label::BOTTOM,
+        ring: 4,
+    }));
+    let seg = sm
+        .apply(&Commit::BindRoot { pid: post })
+        .seg()
+        .expect("root binds");
+    let terminate = Commit::Terminate { pid: post, seg };
+    let first = sm.apply(&terminate);
+    let second = sm.apply(&terminate);
     let granted_moved = trace.counter("monitor.granted") == granted_before + 1;
     let denied_moved = trace.counter("monitor.denied") == denied_before + 1;
     let verdict_recorded = trace
         .records()
         .iter()
         .any(|r| r.kind == mks_trace::EventKind::Verdict);
-    if first.is_err() || second.is_ok() || !granted_moved || !denied_moved || !verdict_recorded {
+    let refused = |o: &Outcome| matches!(o, Outcome::Refused(_));
+    if refused(&first) || !refused(&second) || !granted_moved || !denied_moved || !verdict_recorded
+    {
         out.monitor_misses += 1;
         out.violations.push(format!(
             "monitor: post-recovery consultation not observed \
@@ -441,11 +288,18 @@ pub fn run_plan(plan: &FaultPlan, opts: RecoveryOpts) -> RecoveryOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mks_hw::FaultEvent;
+    use mks_hw::{FaultEvent, FaultPlan, InjectKind};
+
+    fn run_events(events: Vec<FaultEvent>, mutation: SalvageMutation) -> RecoveryOutcome {
+        run_plan(
+            &WorkloadSpec::of_plan(FaultPlan::from_events(events)),
+            mutation,
+        )
+    }
 
     #[test]
     fn a_quiet_plan_recovers_clean() {
-        let out = run_plan(&FaultPlan::from_events(vec![]), RecoveryOpts::default());
+        let out = run_events(vec![], SalvageMutation::None);
         assert!(out.ok(), "{:?}", out.violations);
         assert!(!out.crashed);
         assert!(out.fired.is_empty());
@@ -454,39 +308,37 @@ mod tests {
 
     #[test]
     fn runs_are_deterministic() {
-        let opts = RecoveryOpts::default();
-        let a = run_seed(0xE15, opts);
-        let b = run_seed(0xE15, opts);
+        let a = run_seed(0xE15, SalvageMutation::None);
+        let b = run_seed(0xE15, SalvageMutation::None);
         assert_eq!(a, b);
     }
 
     #[test]
     fn a_crash_event_stops_the_workload_early() {
-        let plan = FaultPlan::from_events(vec![FaultEvent {
+        let crash = FaultEvent {
             kind: InjectKind::Crash,
             nth: 5,
             detail: 0,
-        }]);
-        let out = run_plan(&plan, RecoveryOpts::default());
+        };
+        let out = run_events(vec![crash], SalvageMutation::None);
         assert!(out.crashed);
         assert_eq!(out.ops_run, 5, "the kill lands at the chosen boundary");
         assert!(out.ok(), "{:?}", out.violations);
+    }
+
+    fn tear(nth: u64, detail: u64) -> FaultEvent {
+        FaultEvent {
+            kind: InjectKind::TearBranch,
+            nth,
+            detail,
+        }
     }
 
     #[test]
     fn injected_damage_is_found_and_repaired() {
         // Tear the first few branch creations; the salvage must find and
         // repair the damage with every invariant intact.
-        let plan = FaultPlan::from_events(
-            (0..3)
-                .map(|n| FaultEvent {
-                    kind: InjectKind::TearBranch,
-                    nth: n,
-                    detail: n,
-                })
-                .collect(),
-        );
-        let out = run_plan(&plan, RecoveryOpts::default());
+        let out = run_events((0..3).map(|n| tear(n, n)).collect(), SalvageMutation::None);
         assert!(!out.fired.is_empty());
         assert!(out.ok(), "{:?}", out.violations);
     }
@@ -497,45 +349,23 @@ mod tests {
         // leaves a self-referential parent pointer until the salvager
         // runs. The quota walk used to spin forever on that cycle; it
         // must instead refuse deterministically and recover clean.
-        let plan = FaultPlan::from_events(vec![FaultEvent {
-            kind: InjectKind::TearBranch,
-            nth: 0,
-            detail: 3,
-        }]);
-        let out = run_plan(&plan, RecoveryOpts::default());
+        let out = run_events(vec![tear(0, 3)], SalvageMutation::None);
         assert!(out.ok(), "{:?}", out.violations);
         assert!(out.problem_kinds.contains(&"wrong-parent"), "{out:?}");
     }
 
     #[test]
     fn skipping_the_salvage_is_caught() {
-        let plan = FaultPlan::from_events(vec![FaultEvent {
-            kind: InjectKind::TearBranch,
-            nth: 0,
-            detail: 1,
-        }]);
-        let honest = run_plan(&plan, RecoveryOpts::default());
+        let honest = run_events(vec![tear(0, 1)], SalvageMutation::None);
         assert!(honest.problems_found > 0, "the tear must damage the tree");
-        let broken = run_plan(
-            &plan,
-            RecoveryOpts {
-                mutation: SalvageMutation::SkipSalvage,
-                ..RecoveryOpts::default()
-            },
-        );
+        let broken = run_events(vec![tear(0, 1)], SalvageMutation::SkipSalvage);
         assert!(broken.residual_damage > 0, "{broken:?}");
         assert!(!broken.ok());
     }
 
     #[test]
     fn lowering_a_label_after_repair_is_caught() {
-        let out = run_plan(
-            &FaultPlan::from_events(vec![]),
-            RecoveryOpts {
-                mutation: SalvageMutation::LowerAfterRepair,
-                ..RecoveryOpts::default()
-            },
-        );
+        let out = run_events(vec![], SalvageMutation::LowerAfterRepair);
         assert!(
             out.mutation_applied,
             "a non-BOTTOM label must exist to lower"

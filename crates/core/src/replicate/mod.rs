@@ -36,19 +36,17 @@ pub use link::{Link, LinkStats};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
-use mks_fs::{Acl, AclMode};
-use mks_hw::{Backoff, BackoffPolicy, InjectKind, InjectorHandle, RingBrackets, SplitMix64};
-use mks_mls::{Compartments, Label, Level};
+use mks_hw::{Backoff, BackoffPolicy, InjectKind, InjectorHandle};
 use mks_trace::ReplSnapshot;
 
 use crate::statemachine::restore;
 use crate::statemachine::wire::WireError;
+use crate::statemachine::workload::{mixed_workload, recovery_tail, Executor};
 use crate::statemachine::{
     decode_snapshot, encode_snapshot, reduce, snapshot_at, Commit, CommitLog, Genesis,
     KernelStateMachine, Outcome, ReplayError,
 };
 use crate::syslog::AuditEvent;
-use crate::world::admin_user;
 
 /// Why a replication operation was refused or failed.
 #[derive(Clone, PartialEq, Debug)]
@@ -524,14 +522,14 @@ impl Replica {
                             return;
                         }
                     } else if s.seq == self.len() {
-                        self.sm.apply(&s.commit);
-                        self.stats.appends_applied += 1;
-                        // Determinism tripwire: resealing the commit
-                        // here must reproduce the primary's chain.
-                        if self.log().get(s.seq).map(|e| e.chain) != Some(s.chain) {
+                        // The primary's seal is checked before its
+                        // commit runs: one that does not recompute from
+                        // our head means the histories diverged.
+                        if self.sm.apply_sealed(s).is_err() {
                             out.push(self.nack(from, true));
                             return;
                         }
+                        self.stats.appends_applied += 1;
                     } else {
                         out.push(self.nack(from, false));
                         return;
@@ -622,12 +620,7 @@ impl Replica {
                     }
                 };
                 for s in &suffix {
-                    if s.seq != sm.world().commits.len() {
-                        self.stats.decode_errors += 1;
-                        return;
-                    }
-                    sm.apply(&s.commit);
-                    if sm.world().commits.head() != s.chain {
+                    if sm.apply_sealed(s).is_err() {
                         self.stats.decode_errors += 1;
                         return;
                     }
@@ -1302,173 +1295,56 @@ pub struct DriveReport {
     pub boot_divergence: bool,
 }
 
-/// Submits with retry: a crashed or mid-election cluster refuses, so
-/// the driver ticks and tries again, like a client re-dialing.
-fn submit_retry(cluster: &mut Cluster, commit: &Commit, report: &mut DriveReport) -> Outcome {
-    for _ in 0..400 {
-        match cluster.submit(commit) {
-            Ok(out) => {
-                report.submitted += 1;
-                if matches!(out, Outcome::Refused(_)) {
-                    report.refused += 1;
-                }
-                return out;
-            }
-            Err(_) => {
-                report.retries += 1;
-                cluster.tick();
-            }
-        }
-    }
-    panic!("replication cluster made no progress after 400 ticks submitting {commit:?}");
+/// The cluster as a workload executor: each commit is submitted with
+/// retry (a crashed or mid-election cluster refuses, so the client ticks
+/// and tries again, like a client re-dialing), and the cluster ticks
+/// once per workload operation.
+struct ClusterClient<'a> {
+    cluster: &'a mut Cluster,
+    report: DriveReport,
 }
 
-/// Drives the E15-shaped mixed workload through the cluster: the same
-/// seeded six-way operation mix the fault experiments use (minus the
-/// in-machine crash sites — here the *cluster* is what fails), with
-/// one cluster tick per operation and the recovery tail at the end.
-pub fn drive_mixed_workload(cluster: &mut Cluster, seed: u64, ops: u64) -> DriveReport {
-    let mut report = DriveReport::default();
-    let admin = match submit_retry(
-        cluster,
-        &Commit::CreateProcess {
-            user: admin_user(),
-            label: Label::BOTTOM,
-            ring: 4,
-        },
-        &mut report,
-    ) {
-        Outcome::Pid(p) => p,
-        out => panic!("admin process creation returned {out:?}"),
-    };
-    let root = submit_retry(cluster, &Commit::BindRoot { pid: admin }, &mut report)
-        .seg()
-        .expect("root binds");
-    let stranger = match submit_retry(
-        cluster,
-        &Commit::CreateProcess {
-            user: mks_fs::UserId::new("Mallory", "Guest", "a"),
-            label: Label::BOTTOM,
-            ring: 4,
-        },
-        &mut report,
-    ) {
-        Outcome::Pid(p) => p,
-        out => panic!("stranger process creation returned {out:?}"),
-    };
-    let sroot = submit_retry(cluster, &Commit::BindRoot { pid: stranger }, &mut report)
-        .seg()
-        .expect("root binds");
-    let probe = submit_retry(
-        cluster,
-        &Commit::CreateSegment {
-            pid: admin,
-            dir: root,
-            name: "probe".into(),
-            acl: Acl::of("Admin.SysAdmin.a", AclMode::RW),
-            brackets: RingBrackets::new(4, 4, 4),
-            label: Label::BOTTOM,
-        },
-        &mut report,
-    )
-    .seg()
-    .expect("probe segment creates on a fresh system");
-    submit_retry(cluster, &Commit::Tick { times: 4 }, &mut report);
-
-    let mut rng = SplitMix64::new(seed ^ 0xd1f7_ac75_0bad_c0de);
-    let mut dirs = vec![root];
-    let secret = Label::new(Level::SECRET, Compartments::of(&[1]));
-    for i in 0..ops {
-        match rng.below(6) {
-            0 => {
-                let parent = dirs[rng.below(dirs.len() as u64) as usize];
-                let label = if rng.below(2) == 0 {
-                    Label::BOTTOM
-                } else {
-                    secret
-                };
-                if let Some(segno) = submit_retry(
-                    cluster,
-                    &Commit::CreateDirectory {
-                        pid: admin,
-                        dir: parent,
-                        name: format!("d{i}"),
-                        label,
-                    },
-                    &mut report,
-                )
-                .seg()
-                {
-                    dirs.push(segno);
+impl Executor for ClusterClient<'_> {
+    fn apply(&mut self, commit: &Commit) -> Outcome {
+        for _ in 0..400 {
+            match self.cluster.submit(commit) {
+                Ok(out) => {
+                    self.report.submitted += 1;
+                    if matches!(out, Outcome::Refused(_)) {
+                        self.report.refused += 1;
+                    }
+                    return out;
+                }
+                Err(_) => {
+                    self.report.retries += 1;
+                    self.cluster.tick();
                 }
             }
-            1 => {
-                let parent = dirs[rng.below(dirs.len() as u64) as usize];
-                submit_retry(
-                    cluster,
-                    &Commit::CreateSegment {
-                        pid: admin,
-                        dir: parent,
-                        name: format!("s{i}"),
-                        acl: Acl::of("*.*.*", AclMode::RW),
-                        brackets: RingBrackets::new(4, 4, 4),
-                        label: secret,
-                    },
-                    &mut report,
-                );
-            }
-            2 => {
-                let offset = rng.below(64);
-                submit_retry(
-                    cluster,
-                    &Commit::Write {
-                        pid: admin,
-                        seg: probe,
-                        offset,
-                        value: i + 1,
-                    },
-                    &mut report,
-                );
-                submit_retry(
-                    cluster,
-                    &Commit::Read {
-                        pid: admin,
-                        seg: probe,
-                        offset,
-                    },
-                    &mut report,
-                );
-            }
-            3 => {
-                submit_retry(
-                    cluster,
-                    &Commit::Initiate {
-                        pid: stranger,
-                        dir: sroot,
-                        name: "probe".into(),
-                    },
-                    &mut report,
-                );
-            }
-            4 => {
-                submit_retry(cluster, &Commit::Wakeup { daemon: 0 }, &mut report);
-                submit_retry(cluster, &Commit::Tick { times: 1 }, &mut report);
-            }
-            _ => {
-                submit_retry(cluster, &Commit::Tick { times: 2 }, &mut report);
-            }
         }
-        cluster.tick();
+        panic!("replication cluster made no progress after 400 ticks submitting {commit:?}");
     }
-    submit_retry(cluster, &Commit::Tick { times: 4 }, &mut report);
-    report.salvage_problems = match submit_retry(cluster, &Commit::Salvage, &mut report) {
-        Outcome::Value(n) => n,
-        _ => 0,
+
+    fn end_op(&mut self) {
+        self.cluster.tick();
+    }
+}
+
+/// Drives the E15 mixed workload through the cluster: the same seeded
+/// six-way operation mix the fault experiments use (with no fault plan
+/// in the machine — here the *cluster* is what fails), one cluster tick
+/// per operation, and the recovery tail at the end.
+pub fn drive_mixed_workload(cluster: &mut Cluster, seed: u64, ops: u64) -> DriveReport {
+    let mut client = ClusterClient {
+        cluster,
+        report: DriveReport::default(),
     };
-    report.boot_divergence =
-        submit_retry(cluster, &Commit::BootCheck, &mut report) != Outcome::Value(0);
-    submit_retry(cluster, &Commit::MeteringGet { pid: admin }, &mut report);
-    report
+    let end = mixed_workload(&mut client, seed, ops, None, false);
+    let (salvage_problems, boot_divergence) = recovery_tail(&mut client, end.admin);
+    DriveReport {
+        salvage_problems,
+        boot_divergence,
+        ..client.report
+    }
 }
 
 #[cfg(test)]

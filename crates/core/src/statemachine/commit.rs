@@ -286,16 +286,6 @@ pub enum ReplayError {
         /// The log's base.
         found: u64,
     },
-    /// Replaying a verified log produced a different chain head than
-    /// the log itself carries — the apply path is nondeterministic.
-    ChainDivergence {
-        /// Sequence at which replay diverged.
-        seq: u64,
-        /// The input log's seal.
-        expected: u64,
-        /// The replayed seal.
-        found: u64,
-    },
     /// A snapshot's claimed position or digest does not match the
     /// prefix it carries — it is stale or mislabeled.
     SnapshotStale {
@@ -328,14 +318,6 @@ impl std::fmt::Display for ReplayError {
             ReplayError::BaseMismatch { expected, found } => write!(
                 f,
                 "log rooted at wrong genesis: expected {expected:#018x}, found {found:#018x}"
-            ),
-            ReplayError::ChainDivergence {
-                seq,
-                expected,
-                found,
-            } => write!(
-                f,
-                "replay diverged at seq {seq}: log seal {expected:#018x}, replayed {found:#018x}"
             ),
             ReplayError::SnapshotStale {
                 upto,
@@ -442,26 +424,39 @@ impl CommitLog {
         seq
     }
 
+    /// Checks that `s` is the seal [`CommitLog::append`] would put at
+    /// position `at` after a log whose head is `prev`.
+    fn check_next(prev: u64, at: u64, s: &SealedCommit) -> Result<(), ReplayError> {
+        if s.seq != at {
+            return Err(ReplayError::NonMonotonic { at, seq: s.seq });
+        }
+        let expected = CommitLog::chain_next(prev, s.seq, &s.commit);
+        if s.chain != expected {
+            return Err(ReplayError::ChainMismatch {
+                seq: s.seq,
+                expected,
+                found: s.chain,
+            });
+        }
+        Ok(())
+    }
+
+    /// Appends a seal made elsewhere, after checking it is exactly the
+    /// next seal this log would make. A rejected seal leaves the log
+    /// unchanged.
+    pub(crate) fn append_sealed(&mut self, sealed: &SealedCommit) -> Result<(), ReplayError> {
+        CommitLog::check_next(self.head(), self.len(), sealed)?;
+        self.entries.push(sealed.clone());
+        Ok(())
+    }
+
     /// Checks internal consistency: sequence numbers dense from 0 and
     /// every seal recomputing from its predecessor. A log that passes
     /// is exactly a log [`CommitLog::append`] could have built.
     pub fn verify(&self) -> Result<(), ReplayError> {
         let mut prev = self.base;
         for (i, s) in self.entries.iter().enumerate() {
-            if s.seq != i as u64 {
-                return Err(ReplayError::NonMonotonic {
-                    at: i as u64,
-                    seq: s.seq,
-                });
-            }
-            let expected = CommitLog::chain_next(prev, s.seq, &s.commit);
-            if s.chain != expected {
-                return Err(ReplayError::ChainMismatch {
-                    seq: s.seq,
-                    expected,
-                    found: s.chain,
-                });
-            }
+            CommitLog::check_next(prev, i as u64, s)?;
             prev = s.chain;
         }
         Ok(())

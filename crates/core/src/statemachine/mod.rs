@@ -184,6 +184,17 @@ impl KernelStateMachine {
         self.dispatch(commit)
     }
 
+    /// Applies a commit that was sealed elsewhere (a log under replay, a
+    /// primary's append), checking its seal *before* it runs: it must
+    /// sit at the next position ([`ReplayError::NonMonotonic`]) and
+    /// recompute from this log's head ([`ReplayError::ChainMismatch`]).
+    /// A rejected seal changes nothing; an accepted one is stored as
+    /// given, so each commit is sealed once.
+    pub(crate) fn apply_sealed(&mut self, sealed: &SealedCommit) -> Result<Outcome, ReplayError> {
+        self.sys.world.commits.append_sealed(sealed)?;
+        Ok(self.dispatch(&sealed.commit))
+    }
+
     fn dispatch(&mut self, commit: &Commit) -> Outcome {
         let world = &mut self.sys.world;
         // A log under replay is external data — a mutation arm's log is
@@ -342,9 +353,12 @@ impl KernelStateMachine {
         self.world_mut().repl_status = status;
     }
 
-    /// Crate-internal mutable world access, for the legacy backup tape
-    /// and the dump/restore differential tests. Deliberately not public:
-    /// every external mutation must flow through
+    /// Crate-internal mutable world access, for the legacy backup tape,
+    /// the dump/restore differential tests and the crash-recovery
+    /// harness ([`crate::recovery::run_plan`]), whose salvage, label
+    /// mutation and invariant checks inspect the world after its
+    /// workload ran through [`KernelStateMachine::apply`]. Deliberately
+    /// not public: every external mutation must flow through
     /// [`KernelStateMachine::apply`] so the log stays the whole truth.
     pub(crate) fn world_mut(&mut self) -> &mut KernelWorld {
         &mut self.sys.world

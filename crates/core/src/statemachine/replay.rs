@@ -1,9 +1,8 @@
 //! Replay, snapshot/restore, and the differential that gates them.
 //!
-//! [`reduce`] folds a sealed log back into a machine; by construction
-//! it re-seals every commit it applies, so a replay that produces a
-//! different chain than the input log is itself a typed error — a free
-//! nondeterminism tripwire underneath the digest differential.
+//! [`reduce`] folds a sealed log back into a machine, checking each
+//! seal against the rebuilt chain before its commit runs, so a
+//! tampered log is a typed error and never reaches the dispatcher.
 //! [`snapshot_at`]/[`restore`] derive checkpoint/resume from any log
 //! prefix, and [`ReplayMutation`] deliberately breaks the replay path
 //! so the harness can prove its own teeth (the E20 mutation arms,
@@ -25,11 +24,11 @@ pub struct Mismatch {
     pub replayed: u64,
 }
 
-/// Folds a verified log into a fresh machine: builds the genesis, then
-/// applies every commit in order. Each application re-seals the commit
-/// into the new machine's log, and the fresh seal must equal the input
-/// log's — divergence means the apply path itself is nondeterministic
-/// and is reported as [`ReplayError::ChainDivergence`].
+/// Folds a log into a fresh machine: builds the genesis, then applies
+/// every commit in order through `KernelStateMachine::apply_sealed`,
+/// which checks each seal against the rebuilt chain before the commit
+/// runs and keeps it as given. Each commit is sealed once, and a log
+/// that fails [`CommitLog::verify`] fails here with the same typed error.
 pub fn reduce(genesis: &Genesis, log: &CommitLog) -> Result<KernelStateMachine, ReplayError> {
     if log.base() != genesis.digest() {
         return Err(ReplayError::BaseMismatch {
@@ -37,21 +36,12 @@ pub fn reduce(genesis: &Genesis, log: &CommitLog) -> Result<KernelStateMachine, 
             found: log.base(),
         });
     }
-    log.verify()?;
     let mut sm = genesis.build();
     // The rebuilt log ends exactly as long as the input: sized up front,
     // it never regrows, so no doubling copy adds to the peak memory.
     sm.world_mut().commits.reserve(log.len());
     for sealed in log.entries() {
-        sm.apply(&sealed.commit);
-        let head = sm.world().commits.head();
-        if head != sealed.chain {
-            return Err(ReplayError::ChainDivergence {
-                seq: sealed.seq,
-                expected: sealed.chain,
-                found: head,
-            });
-        }
+        sm.apply_sealed(sealed)?;
     }
     Ok(sm)
 }
@@ -78,7 +68,6 @@ pub fn replay_differential(
             found: log.base(),
         });
     }
-    log.verify()?;
     let mut sm = genesis.build();
     let mut mismatches = Vec::new();
     let mut compare = |seq: u64, live: &StateDigest, replayed: &StateDigest| {
@@ -93,7 +82,7 @@ pub fn replay_differential(
     };
     compare(0, &live[0], &sm.digest());
     for sealed in log.entries() {
-        sm.apply(&sealed.commit);
+        sm.apply_sealed(sealed)?;
         compare(sealed.seq + 1, &live[sealed.seq as usize + 1], &sm.digest());
     }
     Ok(mismatches)
@@ -270,6 +259,7 @@ impl ReplayMutation {
 #[cfg(test)]
 mod tests {
     use super::super::workload::{record_fault_run, WorkloadSpec};
+    use super::super::SealedCommit;
     use super::*;
     use mks_hw::FaultPlan;
 
@@ -292,6 +282,34 @@ mod tests {
         let mismatches = replay_differential(&genesis, &run.sm.world().commits, &run.boundaries)
             .expect("honest log replays");
         assert_eq!(mismatches, Vec::new());
+    }
+
+    #[test]
+    fn a_rejected_seal_changes_nothing() {
+        let (genesis, run) = small_run();
+        let first = run.sm.world().commits.entries()[0].clone();
+        let mut sm = genesis.build();
+        let before = sm.digest();
+        let forged = SealedCommit {
+            chain: first.chain ^ 1,
+            ..first.clone()
+        };
+        assert!(matches!(
+            sm.apply_sealed(&forged),
+            Err(ReplayError::ChainMismatch { seq: 0, .. })
+        ));
+        let skipped = SealedCommit {
+            seq: 1,
+            ..first.clone()
+        };
+        assert_eq!(
+            sm.apply_sealed(&skipped),
+            Err(ReplayError::NonMonotonic { at: 0, seq: 1 })
+        );
+        assert_eq!(sm.digest(), before, "a rejected seal must not run");
+        sm.apply_sealed(&first).expect("the honest seal applies");
+        assert_eq!(sm.world().commits.head(), first.chain);
+        assert_ne!(sm.digest().processes, before.processes);
     }
 
     #[test]

@@ -1,27 +1,27 @@
-//! Recorded workload drivers: the E15 fault workload and the E16
-//! overload ladder, re-expressed as commit streams.
+//! The E15 mixed workload and the E16 overload ladder, written once as
+//! commit streams.
 //!
-//! A driver *chooses* commits (using outcomes of earlier commits — the
-//! directory pool grows only when a create succeeds, the loop stops
-//! when the `Crash` site fires) and records the boundary digest after
-//! each application. Replay never re-runs the driver: it folds the
-//! recorded log, so any hidden input the driver smuggled past the
-//! commit stream shows up as a boundary mismatch. The shapes mirror
-//! `recovery::run_plan` (mixed hierarchy/paging/denial/IPC traffic
-//! under an armed fault plan, then disarm, salvage, boot check) and
-//! E16's ladder (principals per priority class hammering a small
-//! machine under admission control).
+//! A generator *chooses* commits (using outcomes of earlier commits —
+//! the directory pool grows only when a create succeeds, the loop stops
+//! when the `Crash` site fires) and hands each one to an `Executor`.
+//! Three executors run the same mix: the recorder here (which digests
+//! every boundary, for E20), the crash-recovery harness
+//! ([`crate::recovery::run_plan`], E15/E16) and the replicated cluster
+//! ([`crate::replicate::drive_mixed_workload`], E21). Replay never
+//! re-runs a generator: it folds the recorded log, so any hidden input
+//! a driver smuggled past the commit stream shows up as a boundary
+//! mismatch.
 
 use mks_fs::{Acl, AclMode, UserId};
 use mks_hw::{FaultPlan, RingBrackets, SplitMix64};
 use mks_mls::{Compartments, Label, Level};
 
 use crate::pressure::{PressureConfig, Priority};
-use crate::world::admin_user;
+use crate::world::{admin_user, KProcId};
 
 use super::{Commit, Genesis, KernelStateMachine, Outcome, StateDigest};
 
-/// Shape of one recorded fault run.
+/// Shape of one run of the mixed workload under a fault plan.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct WorkloadSpec {
     /// Seeds the operation mix (independently of the fault plan).
@@ -35,26 +35,255 @@ pub struct WorkloadSpec {
 }
 
 impl WorkloadSpec {
-    /// The E15 shape: 32 ops under `FaultPlan::generate(seed)`.
-    pub fn faults(seed: u64) -> WorkloadSpec {
+    /// The E15 shape under `plan`: 32 ops, admission off, the mix
+    /// seeded with the plan's own seed (0 for a hand-built plan).
+    pub fn of_plan(plan: FaultPlan) -> WorkloadSpec {
         WorkloadSpec {
-            seed,
+            seed: plan.seed,
             ops: 32,
-            plan: FaultPlan::generate(seed),
+            plan,
             overload: false,
         }
+    }
+
+    /// The E15 shape: 32 ops under `FaultPlan::generate(seed)`.
+    pub fn faults(seed: u64) -> WorkloadSpec {
+        WorkloadSpec::of_plan(FaultPlan::generate(seed))
     }
 
     /// The E16-crossover shape: the same mixed workload under an
     /// exhaustion-heavy plan with admission control armed.
     pub fn overload(seed: u64) -> WorkloadSpec {
         WorkloadSpec {
-            seed,
-            ops: 32,
-            plan: FaultPlan::generate_overload(seed),
             overload: true,
+            ..WorkloadSpec::of_plan(FaultPlan::generate_overload(seed))
         }
     }
+
+    /// Renders the whole spec — mix seed, op count, overload flag and
+    /// every event of the plan — as a ready-to-paste regression test
+    /// (see `docs/FAULTS.md`, "Writing a regression from a failure").
+    /// The text is laid out as `rustfmt` would, so a pasted copy stays
+    /// byte-identical to what the failing sweep printed.
+    pub fn to_regression_snippet(&self) -> String {
+        let mut out = format!(
+            "let spec = WorkloadSpec {{\n    seed: {},\n    ops: {},\n    plan: FaultPlan {{\n        seed: {},\n        events: vec![\n",
+            self.seed, self.ops, self.plan.seed
+        );
+        for e in &self.plan.events {
+            out.push_str(&format!(
+                "            FaultEvent {{\n                kind: InjectKind::{},\n                nth: {},\n                detail: {:#x},\n            }},\n",
+                e.kind.variant_name(),
+                e.nth,
+                e.detail
+            ));
+        }
+        out.push_str(&format!(
+            "        ],\n    }},\n    overload: {},\n}};\nassert!(run_plan(&spec, SalvageMutation::None).ok());\n",
+            self.overload
+        ));
+        out
+    }
+}
+
+/// Where a generated workload's commits go.
+pub(crate) trait Executor {
+    /// Applies one commit and reports what it produced.
+    fn apply(&mut self, commit: &Commit) -> Outcome;
+
+    /// Runs after each operation of the mix. Does nothing by default.
+    fn end_op(&mut self) {}
+}
+
+impl Executor for KernelStateMachine {
+    fn apply(&mut self, commit: &Commit) -> Outcome {
+        KernelStateMachine::apply(self, commit)
+    }
+}
+
+/// How a run of the mix ended.
+pub(crate) struct MixEnd {
+    /// The administrator, who reads the metering gate in the tail.
+    pub(crate) admin: KProcId,
+    /// Whether the `Crash` site stopped the mix mid-stream.
+    pub(crate) crashed: bool,
+    /// Operations executed before the stop.
+    pub(crate) ops_run: u64,
+}
+
+/// The pid a `CreateProcess` commit produced.
+pub(crate) fn pid_of(out: Outcome) -> KProcId {
+    match out {
+        Outcome::Pid(p) => p,
+        other => unreachable!("process creation is infallible: {other:?}"),
+    }
+}
+
+/// The E15 mixed workload, the one copy every executor runs. Setup: an
+/// administrator, a stranger (whose references are denied: audit-log
+/// traffic through the `SkewClock` site) and an admin-only paging
+/// probe, then four priming ticks. With `overload`, admission control
+/// is armed with the administrator above the stranger in the shed
+/// order. With a `plan`, the plan is armed and the `Crash` site is
+/// polled at every operation boundary, so the plan chooses exactly
+/// which operation the kill interrupts. Then up to `ops` operations of
+/// the seeded six-way mix — directory creation, segment creation,
+/// paging churn, a denied initiate, a daemon wakeup, idle ticks —
+/// four closing ticks, and the plan disarmed. Operations on a damaged
+/// hierarchy may be refused; deterministic refusals are part of the
+/// scenario.
+pub(crate) fn mixed_workload(
+    ex: &mut impl Executor,
+    seed: u64,
+    ops: u64,
+    plan: Option<&FaultPlan>,
+    overload: bool,
+) -> MixEnd {
+    let admin = pid_of(ex.apply(&Commit::CreateProcess {
+        user: admin_user(),
+        label: Label::BOTTOM,
+        ring: 4,
+    }));
+    let root = ex
+        .apply(&Commit::BindRoot { pid: admin })
+        .seg()
+        .expect("root binds");
+    let stranger = pid_of(ex.apply(&Commit::CreateProcess {
+        user: UserId::new("Mallory", "Guest", "a"),
+        label: Label::BOTTOM,
+        ring: 4,
+    }));
+    let sroot = ex
+        .apply(&Commit::BindRoot { pid: stranger })
+        .seg()
+        .expect("root binds");
+    let probe = ex
+        .apply(&Commit::CreateSegment {
+            pid: admin,
+            dir: root,
+            name: "probe".into(),
+            acl: Acl::of("Admin.SysAdmin.a", AclMode::RW),
+            brackets: RingBrackets::new(4, 4, 4),
+            label: Label::BOTTOM,
+        })
+        .seg()
+        .expect("probe segment creates on a fresh system");
+    ex.apply(&Commit::Tick { times: 4 });
+    if overload {
+        ex.apply(&Commit::AdmissionEnable {
+            config: PressureConfig::default(),
+        });
+        ex.apply(&Commit::SetPriority {
+            pid: admin,
+            priority: Priority::Interactive,
+        });
+        ex.apply(&Commit::SetPriority {
+            pid: stranger,
+            priority: Priority::Background,
+        });
+    }
+    if let Some(plan) = plan {
+        ex.apply(&Commit::ArmPlan { plan: plan.clone() });
+    }
+
+    let mut rng = SplitMix64::new(seed ^ 0xd1f7_ac75_0bad_c0de);
+    let mut dirs = vec![root];
+    let mut crashed = false;
+    let mut ops_run = 0u64;
+    let secret = Label::new(Level::SECRET, Compartments::of(&[1]));
+    for i in 0..ops {
+        if plan.is_some() && ex.apply(&Commit::CrashPoll) == Outcome::Fired(true) {
+            crashed = true;
+            break;
+        }
+        ops_run += 1;
+        match rng.below(6) {
+            0 => {
+                let parent = dirs[rng.below(dirs.len() as u64) as usize];
+                let label = if rng.below(2) == 0 {
+                    Label::BOTTOM
+                } else {
+                    secret
+                };
+                if let Some(segno) = ex
+                    .apply(&Commit::CreateDirectory {
+                        pid: admin,
+                        dir: parent,
+                        name: format!("d{i}"),
+                        label,
+                    })
+                    .seg()
+                {
+                    dirs.push(segno);
+                }
+            }
+            1 => {
+                let parent = dirs[rng.below(dirs.len() as u64) as usize];
+                ex.apply(&Commit::CreateSegment {
+                    pid: admin,
+                    dir: parent,
+                    name: format!("s{i}"),
+                    acl: Acl::of("*.*.*", AclMode::RW),
+                    brackets: RingBrackets::new(4, 4, 4),
+                    label: secret,
+                });
+            }
+            2 => {
+                // Paging churn through the monitor: the SlowDisk and
+                // FailDisk sites fire inside the transfers it provokes.
+                let offset = rng.below(64);
+                ex.apply(&Commit::Write {
+                    pid: admin,
+                    seg: probe,
+                    offset,
+                    value: i + 1,
+                });
+                ex.apply(&Commit::Read {
+                    pid: admin,
+                    seg: probe,
+                    offset,
+                });
+            }
+            3 => {
+                ex.apply(&Commit::Initiate {
+                    pid: stranger,
+                    dir: sroot,
+                    name: "probe".into(),
+                });
+            }
+            4 => {
+                ex.apply(&Commit::Wakeup { daemon: 0 });
+                ex.apply(&Commit::Tick { times: 1 });
+            }
+            _ => {
+                ex.apply(&Commit::Tick { times: 2 });
+            }
+        }
+        ex.end_op();
+    }
+    ex.apply(&Commit::Tick { times: 4 });
+    if plan.is_some() {
+        ex.apply(&Commit::Disarm);
+    }
+    MixEnd {
+        admin,
+        crashed,
+        ops_run,
+    }
+}
+
+/// The recovery tail of the recorded and replicated drivers: salvage,
+/// boot check, and a metering read by `admin` that exports the log
+/// digest. Returns the salvage's problem count and whether the boot
+/// check diverged.
+pub(crate) fn recovery_tail(ex: &mut impl Executor, admin: KProcId) -> (u64, bool) {
+    let problems = match ex.apply(&Commit::Salvage) {
+        Outcome::Value(n) => n,
+        _ => 0,
+    };
+    let diverged = ex.apply(&Commit::BootCheck) != Outcome::Value(0);
+    ex.apply(&Commit::MeteringGet { pid: admin });
+    (problems, diverged)
 }
 
 /// A live run and the evidence it leaves: the machine (whose world owns
@@ -81,6 +310,14 @@ struct Recorder {
     boundaries: Vec<StateDigest>,
 }
 
+impl Executor for Recorder {
+    fn apply(&mut self, commit: &Commit) -> Outcome {
+        let out = self.sm.apply(commit);
+        self.boundaries.push(self.sm.digest());
+        out
+    }
+}
+
 impl Recorder {
     fn new(genesis: &Genesis) -> Recorder {
         let sm = genesis.build();
@@ -88,165 +325,32 @@ impl Recorder {
         Recorder { sm, boundaries }
     }
 
-    fn commit(&mut self, c: Commit) -> Outcome {
-        let out = self.sm.apply(&c);
-        self.boundaries.push(self.sm.digest());
-        out
-    }
-
-    fn seg(&mut self, c: Commit) -> Option<mks_hw::SegNo> {
-        self.commit(c).seg()
-    }
-
-    fn pid(&mut self, c: Commit) -> crate::world::KProcId {
-        match self.commit(c) {
-            Outcome::Pid(p) => p,
-            other => unreachable!("process creation is infallible: {other:?}"),
+    /// Records the recovery tail and hands back the run.
+    fn finish(mut self, end: MixEnd) -> RecordedRun {
+        let (salvage_problems, boot_divergence) = recovery_tail(&mut self, end.admin);
+        RecordedRun {
+            sm: self.sm,
+            boundaries: self.boundaries,
+            crashed: end.crashed,
+            ops_run: end.ops_run,
+            salvage_problems,
+            boot_divergence,
         }
     }
 }
 
-fn stranger_user() -> UserId {
-    UserId::new("Mallory", "Guest", "a")
-}
-
-/// Records the E15-shaped mixed workload under `spec.plan`: principals
-/// and probe, priming ticks, (optionally) admission arming, then the
-/// seeded six-way operation mix with the `Crash` site consulted at
-/// every boundary, and finally the recovery tail — disarm, salvage,
-/// boot check, and a metering read that exports the log digest.
+/// Records the mixed workload under `spec.plan`, then the recovery
+/// tail.
 pub fn record_fault_run(genesis: &Genesis, spec: &WorkloadSpec) -> RecordedRun {
     let mut rec = Recorder::new(genesis);
-    let admin = rec.pid(Commit::CreateProcess {
-        user: admin_user(),
-        label: Label::BOTTOM,
-        ring: 4,
-    });
-    let root = rec
-        .seg(Commit::BindRoot { pid: admin })
-        .expect("root binds");
-    let stranger = rec.pid(Commit::CreateProcess {
-        user: stranger_user(),
-        label: Label::BOTTOM,
-        ring: 4,
-    });
-    let sroot = rec
-        .seg(Commit::BindRoot { pid: stranger })
-        .expect("root binds");
-    let probe = rec
-        .seg(Commit::CreateSegment {
-            pid: admin,
-            dir: root,
-            name: "probe".into(),
-            acl: Acl::of("Admin.SysAdmin.a", AclMode::RW),
-            brackets: RingBrackets::new(4, 4, 4),
-            label: Label::BOTTOM,
-        })
-        .expect("probe segment creates on a fresh system");
-    rec.commit(Commit::Tick { times: 4 });
-    if spec.overload {
-        rec.commit(Commit::AdmissionEnable {
-            config: PressureConfig::default(),
-        });
-        rec.commit(Commit::SetPriority {
-            pid: admin,
-            priority: Priority::Interactive,
-        });
-        rec.commit(Commit::SetPriority {
-            pid: stranger,
-            priority: Priority::Background,
-        });
-    }
-    rec.commit(Commit::ArmPlan {
-        plan: spec.plan.clone(),
-    });
-
-    let mut rng = SplitMix64::new(spec.seed ^ 0xd1f7_ac75_0bad_c0de);
-    let mut dirs = vec![root];
-    let mut crashed = false;
-    let mut ops_run = 0u64;
-    let secret = Label::new(Level::SECRET, Compartments::of(&[1]));
-    for i in 0..spec.ops {
-        if rec.commit(Commit::CrashPoll) == Outcome::Fired(true) {
-            crashed = true;
-            break;
-        }
-        ops_run += 1;
-        match rng.below(6) {
-            0 => {
-                let parent = dirs[rng.below(dirs.len() as u64) as usize];
-                let label = if rng.below(2) == 0 {
-                    Label::BOTTOM
-                } else {
-                    secret
-                };
-                if let Some(segno) = rec.seg(Commit::CreateDirectory {
-                    pid: admin,
-                    dir: parent,
-                    name: format!("d{i}"),
-                    label,
-                }) {
-                    dirs.push(segno);
-                }
-            }
-            1 => {
-                let parent = dirs[rng.below(dirs.len() as u64) as usize];
-                rec.commit(Commit::CreateSegment {
-                    pid: admin,
-                    dir: parent,
-                    name: format!("s{i}"),
-                    acl: Acl::of("*.*.*", AclMode::RW),
-                    brackets: RingBrackets::new(4, 4, 4),
-                    label: secret,
-                });
-            }
-            2 => {
-                let offset = rng.below(64);
-                rec.commit(Commit::Write {
-                    pid: admin,
-                    seg: probe,
-                    offset,
-                    value: i + 1,
-                });
-                rec.commit(Commit::Read {
-                    pid: admin,
-                    seg: probe,
-                    offset,
-                });
-            }
-            3 => {
-                rec.commit(Commit::Initiate {
-                    pid: stranger,
-                    dir: sroot,
-                    name: "probe".into(),
-                });
-            }
-            4 => {
-                rec.commit(Commit::Wakeup { daemon: 0 });
-                rec.commit(Commit::Tick { times: 1 });
-            }
-            _ => {
-                rec.commit(Commit::Tick { times: 2 });
-            }
-        }
-    }
-    rec.commit(Commit::Tick { times: 4 });
-    rec.commit(Commit::Disarm);
-    let salvage_problems = match rec.commit(Commit::Salvage) {
-        Outcome::Value(n) => n,
-        _ => 0,
-    };
-    let boot_divergence = rec.commit(Commit::BootCheck) != Outcome::Value(0);
-    rec.commit(Commit::MeteringGet { pid: admin });
-
-    RecordedRun {
-        sm: rec.sm,
-        boundaries: rec.boundaries,
-        crashed,
-        ops_run,
-        salvage_problems,
-        boot_divergence,
-    }
+    let end = mixed_workload(
+        &mut rec,
+        spec.seed,
+        spec.ops,
+        Some(&spec.plan),
+        spec.overload,
+    );
+    rec.finish(end)
 }
 
 /// Rungs of the recorded overload ladder: principals per rung, all
@@ -264,27 +368,28 @@ pub const LADDER_OPS: u64 = 6;
 /// verdict. Ends with the same recovery tail as the fault runs.
 pub fn record_overload_ladder(genesis: &Genesis, seed: u64) -> RecordedRun {
     let mut rec = Recorder::new(genesis);
-    let admin = rec.pid(Commit::CreateProcess {
+    let admin = pid_of(rec.apply(&Commit::CreateProcess {
         user: admin_user(),
         label: Label::BOTTOM,
         ring: 4,
-    });
+    }));
     let root = rec
-        .seg(Commit::BindRoot { pid: admin })
+        .apply(&Commit::BindRoot { pid: admin })
+        .seg()
         .expect("root binds");
-    rec.commit(Commit::Tick { times: 4 });
+    rec.apply(&Commit::Tick { times: 4 });
     // Tight soft caps make the small machine's exhaustion visible to the
     // gauges early (the E16 recipe): the probe population crosses the
     // AST cap and the audit log crosses its headroom cap as the rungs
     // climb, so the later cohorts run into the shed thresholds.
-    rec.commit(Commit::AdmissionEnable {
+    rec.apply(&Commit::AdmissionEnable {
         config: PressureConfig {
             ast_soft_cap: 24,
             audit_cap: 512,
             ..PressureConfig::default()
         },
     });
-    rec.commit(Commit::SetPriority {
+    rec.apply(&Commit::SetPriority {
         pid: admin,
         priority: Priority::System,
     });
@@ -299,7 +404,7 @@ pub fn record_overload_ladder(genesis: &Genesis, seed: u64) -> RecordedRun {
             .filter(|e| e.kind != mks_hw::InjectKind::Crash)
             .collect(),
     );
-    rec.commit(Commit::ArmPlan { plan });
+    rec.apply(&Commit::ArmPlan { plan });
 
     let mut rng = SplitMix64::new(seed ^ 0x0e16_1add_e50f_f00d);
     let mut crashed = false;
@@ -313,20 +418,20 @@ pub fn record_overload_ladder(genesis: &Genesis, seed: u64) -> RecordedRun {
         let mut cohort = Vec::new();
         for p in 0..*rung {
             let user = UserId::new(&format!("Load{p}"), &format!("Rung{r}"), "a");
-            let pid = rec.pid(Commit::CreateProcess {
+            let pid = pid_of(rec.apply(&Commit::CreateProcess {
                 user,
                 label: Label::BOTTOM,
                 ring: 4,
-            });
-            let Some(own_root) = rec.seg(Commit::BindRoot { pid }) else {
+            }));
+            let Some(own_root) = rec.apply(&Commit::BindRoot { pid }).seg() else {
                 continue;
             };
-            rec.commit(Commit::SetPriority {
+            rec.apply(&Commit::SetPriority {
                 pid,
                 priority: Priority::ALL[(p as usize) % Priority::ALL.len()],
             });
             let name = format!("p{r}_{p}");
-            rec.commit(Commit::CreateSegment {
+            rec.apply(&Commit::CreateSegment {
                 pid: admin,
                 dir: root,
                 name: name.clone(),
@@ -334,7 +439,7 @@ pub fn record_overload_ladder(genesis: &Genesis, seed: u64) -> RecordedRun {
                 brackets: RingBrackets::new(4, 4, 4),
                 label: Label::BOTTOM,
             });
-            let own = rec.commit(Commit::Initiate {
+            let own = rec.apply(&Commit::Initiate {
                 pid,
                 dir: own_root,
                 name,
@@ -345,7 +450,7 @@ pub fn record_overload_ladder(genesis: &Genesis, seed: u64) -> RecordedRun {
         }
         for _ in 0..LADDER_OPS {
             for (pid, probe) in &cohort {
-                if rec.commit(Commit::CrashPoll) == Outcome::Fired(true) {
+                if rec.apply(&Commit::CrashPoll) == Outcome::Fired(true) {
                     crashed = true;
                     break 'ladder;
                 }
@@ -354,36 +459,49 @@ pub fn record_overload_ladder(genesis: &Genesis, seed: u64) -> RecordedRun {
                 // with the rung, pushing the later cohorts into the shed
                 // thresholds exactly as E16's ladder does.
                 let offset = rng.below(4) * mks_hw::PAGE_WORDS as u64 + rng.below(64);
-                rec.commit(Commit::Write {
+                rec.apply(&Commit::Write {
                     pid: *pid,
                     seg: *probe,
                     offset,
                     value: ops_run,
                 });
-                rec.commit(Commit::Read {
+                rec.apply(&Commit::Read {
                     pid: *pid,
                     seg: *probe,
                     offset,
                 });
             }
-            rec.commit(Commit::Tick { times: 1 });
+            rec.apply(&Commit::Tick { times: 1 });
         }
     }
-    rec.commit(Commit::Tick { times: 4 });
-    rec.commit(Commit::Disarm);
-    let salvage_problems = match rec.commit(Commit::Salvage) {
-        Outcome::Value(n) => n,
-        _ => 0,
-    };
-    let boot_divergence = rec.commit(Commit::BootCheck) != Outcome::Value(0);
-    rec.commit(Commit::MeteringGet { pid: admin });
-
-    RecordedRun {
-        sm: rec.sm,
-        boundaries: rec.boundaries,
+    rec.apply(&Commit::Tick { times: 4 });
+    rec.apply(&Commit::Disarm);
+    rec.finish(MixEnd {
+        admin,
         crashed,
         ops_run,
-        salvage_problems,
-        boot_divergence,
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn regression_snippet_spells_out_the_whole_spec() {
+        let spec = WorkloadSpec::overload(99);
+        let snippet = spec.to_regression_snippet();
+        assert!(snippet.starts_with("let spec = WorkloadSpec {\n    seed: 99,\n    ops: 32,\n"));
+        assert!(snippet.contains("plan: FaultPlan {\n        seed: 99,\n"));
+        assert!(snippet.contains("overload: true,\n"));
+        for e in &spec.plan.events {
+            assert!(snippet.contains(&format!(
+                "kind: InjectKind::{},\n                nth: {},\n                detail: {:#x},",
+                e.kind.variant_name(),
+                e.nth,
+                e.detail
+            )));
+        }
+        assert!(snippet.ends_with("assert!(run_plan(&spec, SalvageMutation::None).ok());\n"));
     }
 }

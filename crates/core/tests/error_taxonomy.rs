@@ -46,11 +46,6 @@ fn replay_errors_render_distinctly() {
             expected: 0x1111,
             found: 0x2222,
         },
-        ReplayError::ChainDivergence {
-            seq: 5,
-            expected: 0x3333,
-            found: 0x4444,
-        },
         ReplayError::SnapshotStale {
             upto: 6,
             expected: 0x5555,

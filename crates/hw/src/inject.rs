@@ -215,8 +215,8 @@ impl InjectKind {
         }
     }
 
-    /// The variant identifier as written in Rust source, for
-    /// [`FaultPlan::to_regression_snippet`].
+    /// The variant identifier as written in Rust source, for the
+    /// ready-to-paste regression tests the recovery sweeps print.
     pub fn variant_name(self) -> &'static str {
         match self {
             InjectKind::DropWakeup => "DropWakeup",
@@ -379,25 +379,6 @@ impl FaultPlan {
             })
             .collect::<Vec<_>>()
             .join("\n")
-    }
-
-    /// Renders the plan as a ready-to-paste Rust regression-test snippet:
-    /// a `FaultPlan::from_events(...)` expression reproducing exactly this
-    /// schedule. The shrinker's failure reports embed this so a sweep
-    /// failure converts to a pinned test by copy-paste (see
-    /// `docs/FAULTS.md`, "Writing a regression from a failure").
-    pub fn to_regression_snippet(&self) -> String {
-        let mut out = String::from("let plan = FaultPlan::from_events(vec![\n");
-        for e in &self.events {
-            out.push_str(&format!(
-                "    FaultEvent {{ kind: InjectKind::{}, nth: {}, detail: {:#x} }},\n",
-                e.kind.variant_name(),
-                e.nth,
-                e.detail
-            ));
-        }
-        out.push_str("]);\nassert!(run_plan(&plan, RecoveryOpts::default()).ok());\n");
-        out
     }
 }
 
@@ -612,17 +593,6 @@ mod tests {
             for e in FaultPlan::generate_overload(seed).events {
                 assert!(!InjectKind::REPLICATION.contains(&e.kind));
             }
-        }
-    }
-
-    #[test]
-    fn regression_snippet_round_trips_through_from_events() {
-        let plan = FaultPlan::generate_overload(99);
-        let snippet = plan.to_regression_snippet();
-        assert!(snippet.contains("FaultPlan::from_events"));
-        for e in &plan.events {
-            assert!(snippet.contains(e.kind.variant_name()));
-            assert!(snippet.contains(&format!("nth: {}", e.nth)));
         }
     }
 

@@ -10,25 +10,33 @@
 //! the pinned range never visits.
 
 use mks_hw::{shrink_plan, FaultEvent, FaultPlan, InjectKind};
-use mks_kernel::recovery::{run_plan, run_seed, RecoveryOpts, SalvageMutation};
+use mks_kernel::recovery::{run_plan, run_seed, RecoveryOutcome, SalvageMutation};
+use mks_kernel::statemachine::WorkloadSpec;
 use proptest::prelude::*;
 
 /// On a violation, shrink to the minimal reproducing schedule before
-/// failing — the report names the exact events that matter.
-fn check_seed(seed: u64, opts: RecoveryOpts) -> mks_kernel::recovery::RecoveryOutcome {
-    let plan = FaultPlan::generate(seed);
-    let out = run_plan(&plan, opts);
+/// failing — the report names the exact events that matter, and the
+/// whole workload (mix seed included) as a ready-to-paste test.
+fn check_seed(seed: u64) -> RecoveryOutcome {
+    let spec = WorkloadSpec::faults(seed);
+    let out = run_plan(&spec, SalvageMutation::None);
     if out.ok() {
         return out;
     }
-    let minimal = shrink_plan(&plan, |p| !run_plan(p, opts).ok());
+    let with_plan = |plan: &FaultPlan| WorkloadSpec {
+        plan: plan.clone(),
+        ..spec.clone()
+    };
+    let minimal = shrink_plan(&spec.plan, |p| {
+        !run_plan(&with_plan(p), SalvageMutation::None).ok()
+    });
     panic!(
         "seed {seed:#x} violated recovery invariants: {:?}\n\
          minimal reproducing schedule:\n{}\n\
-         ready-to-paste regression plan:\n{}",
+         ready-to-paste regression test:\n{}",
         out.violations,
         minimal.render(),
-        minimal.to_regression_snippet()
+        with_plan(&minimal).to_regression_snippet()
     );
 }
 
@@ -38,13 +46,12 @@ fn a_thousand_seeded_plans_hold_every_invariant() {
     // otherwise (any seed that fails at 1200 also fails at whatever
     // prefix includes it).
     let sweep = mks_bench::sweep_seeds(1200);
-    let opts = RecoveryOpts::default();
     let mut crashes = 0u64;
     let mut faults = 0usize;
     let mut problems = 0usize;
     let mut kinds = std::collections::BTreeSet::new();
     for seed in 0..sweep {
-        let out = check_seed(seed, opts);
+        let out = check_seed(seed);
         crashes += u64::from(out.crashed);
         faults += out.fired.len();
         problems += out.problems_found;
@@ -68,14 +75,14 @@ proptest! {
     /// Seeds far outside the pinned range behave identically.
     #[test]
     fn random_seeds_hold_every_invariant(seed in any::<u64>()) {
-        check_seed(seed, RecoveryOpts::default());
+        check_seed(seed);
     }
 
     /// Recovery is a pure function of the plan: same seed, same outcome.
     #[test]
     fn recovery_replays_exactly(seed in any::<u64>()) {
-        let opts = RecoveryOpts::default();
-        prop_assert_eq!(run_seed(seed, opts), run_seed(seed, opts));
+        let honest = SalvageMutation::None;
+        prop_assert_eq!(run_seed(seed, honest), run_seed(seed, honest));
     }
 }
 
@@ -84,7 +91,7 @@ proptest! {
 /// that skips repair (or one that lowers labels) proves nothing.
 #[test]
 fn a_broken_salvager_is_caught_by_the_sweep() {
-    let honest = RecoveryOpts::default();
+    let honest = SalvageMutation::None;
     // Find seeds whose faults actually damage the hierarchy; the broken
     // recovery path must fail on them.
     let mut damaging = 0;
@@ -94,13 +101,7 @@ fn a_broken_salvager_is_caught_by_the_sweep() {
             continue;
         }
         damaging += 1;
-        let broken = run_seed(
-            seed,
-            RecoveryOpts {
-                mutation: SalvageMutation::SkipSalvage,
-                ..honest
-            },
-        );
+        let broken = run_seed(seed, SalvageMutation::SkipSalvage);
         if !broken.ok() {
             caught += 1;
         }
@@ -114,11 +115,8 @@ fn a_broken_salvager_is_caught_by_the_sweep() {
     // The second mutation: labels lowered after an otherwise-honest
     // repair. Needs no injected damage at all.
     let lowered = run_plan(
-        &FaultPlan::from_events(vec![]),
-        RecoveryOpts {
-            mutation: SalvageMutation::LowerAfterRepair,
-            ..honest
-        },
+        &WorkloadSpec::of_plan(FaultPlan::from_events(vec![])),
+        SalvageMutation::LowerAfterRepair,
     );
     assert!(lowered.mutation_applied);
     assert!(lowered.labels_lowered > 0, "{lowered:?}");
@@ -140,7 +138,7 @@ fn failures_shrink_to_minimal_reproducing_schedules() {
     events.extend(FaultPlan::generate(0xBEEF).events);
     let noisy = FaultPlan::from_events(events);
     let reproduces = |p: &FaultPlan| {
-        run_plan(p, RecoveryOpts::default())
+        run_plan(&WorkloadSpec::of_plan(p.clone()), SalvageMutation::None)
             .problem_kinds
             .contains(&"missing-node")
     };
@@ -152,4 +150,75 @@ fn failures_shrink_to_minimal_reproducing_schedules() {
         "every bystander event is stripped:\n{}",
         minimal.render()
     );
+}
+
+/// The reproducer a sweep failure prints is the failing run itself:
+/// pasted back, it replays the same mix under the same plan. The plan's
+/// events alone are not enough: rebuilt by `FaultPlan::from_events`
+/// (mix seed 0), seed 2's events fire one fault instead of two and
+/// leave nothing to salvage.
+#[test]
+fn the_printed_reproducer_replays_the_same_run() {
+    let spec = WorkloadSpec::faults(2);
+    // What a failure of seed 2 prints, pasted (the check below holds the
+    // pasted block to the printed text, byte for byte):
+    let pasted = {
+        let spec = WorkloadSpec {
+            seed: 2,
+            ops: 32,
+            plan: FaultPlan {
+                seed: 2,
+                events: vec![
+                    FaultEvent {
+                        kind: InjectKind::DropWakeup,
+                        nth: 36,
+                        detail: 0x4fc446b53f17fb29,
+                    },
+                    FaultEvent {
+                        kind: InjectKind::SlowDisk,
+                        nth: 17,
+                        detail: 0x5fb1940eb8cbf1ae,
+                    },
+                    FaultEvent {
+                        kind: InjectKind::FailDisk,
+                        nth: 29,
+                        detail: 0x6189abe28d8e28b1,
+                    },
+                    FaultEvent {
+                        kind: InjectKind::FailDisk,
+                        nth: 38,
+                        detail: 0xbd34d3aef603e583,
+                    },
+                    FaultEvent {
+                        kind: InjectKind::FailDisk,
+                        nth: 44,
+                        detail: 0x56e84498e8b0e635,
+                    },
+                    FaultEvent {
+                        kind: InjectKind::TearBranch,
+                        nth: 2,
+                        detail: 0x35ceedaace1296d5,
+                    },
+                    FaultEvent {
+                        kind: InjectKind::Crash,
+                        nth: 9,
+                        detail: 0x333c04e09d9ae712,
+                    },
+                ],
+            },
+            overload: false,
+        };
+        assert!(run_plan(&spec, SalvageMutation::None).ok());
+        spec
+    };
+    let printed: String = spec
+        .to_regression_snippet()
+        .lines()
+        .map(|line| format!("        {line}\n"))
+        .collect();
+    assert!(include_str!("fault_injection.rs").contains(&printed));
+    assert_eq!(pasted, spec);
+    let out = run_plan(&pasted, SalvageMutation::None);
+    assert_eq!(out, run_plan(&spec, SalvageMutation::None));
+    assert_eq!((out.fired.len(), out.problems_found), (2, 1), "{out:?}");
 }

@@ -25,7 +25,8 @@ use mks_hw::{
 };
 use mks_kernel::init::{state_hash, target_state};
 use mks_kernel::pressure::{PressureConfig, Priority};
-use mks_kernel::recovery::{run_plan, RecoveryOpts};
+use mks_kernel::recovery::{run_plan, SalvageMutation};
+use mks_kernel::statemachine::WorkloadSpec;
 use mks_kernel::world::{admin_user, KernelWorld, System, SystemSize};
 use mks_kernel::{AuditEvent, GateTable, KernelConfig, Monitor};
 use mks_mls::Label;
@@ -33,24 +34,20 @@ use proptest::prelude::*;
 
 #[test]
 fn exhaustion_plans_never_break_recovery_invariants() {
-    let opts = RecoveryOpts {
-        overload: true,
-        ..RecoveryOpts::default()
-    };
     // 500 seeds unless `MKS_SWEEP_SEEDS` says otherwise (any failing
     // seed fails at any cap that includes it).
     let sweep = mks_bench::sweep_seeds(500);
     let mut crashes = 0u64;
     let mut exhaustion = 0u64;
     for seed in 0..sweep {
-        let plan = FaultPlan::generate_overload(seed);
-        let out = run_plan(&plan, opts);
+        let spec = WorkloadSpec::overload(seed);
+        let out = run_plan(&spec, SalvageMutation::None);
         assert!(
             out.ok(),
             "overload seed {seed:#x} violated recovery invariants: {:?}\n\
-             ready-to-paste regression plan:\n{}",
+             ready-to-paste regression test:\n{}",
             out.violations,
-            plan.to_regression_snippet()
+            spec.to_regression_snippet()
         );
         crashes += u64::from(out.crashed);
         exhaustion += out
