@@ -212,7 +212,7 @@ impl Monitor {
         t.event_for(
             mks_trace::Layer::Monitor,
             mks_trace::EventKind::Verdict,
-            world.proc(pid).principal(),
+            world.proc(pid).principal().clone(),
             detail,
         );
     }
@@ -561,15 +561,14 @@ impl Monitor {
             let dlabel = world.fs.dir_label(dir_uid).map_err(AccessError::Fs)?;
             mls_check(&subj, &dlabel, AccessKind::Write).map_err(AccessError::Mls)?;
         }
-        let user = world.proc(pid).user.clone();
-        world
-            .fs
-            .create_segment(dir_uid, name, &user, acl, brackets, label)
+        let (fs, proc) = world.fs_mut_and_proc(pid);
+        fs.create_segment(dir_uid, name, &proc.user, acl, brackets, label)
             .map_err(AccessError::Fs)?;
         // Storage accounting: the first page is charged at creation; an
         // overflow undoes the creation entirely.
         if let Err(e) = Self::charge_quota(world, pid, dir_uid, 1) {
-            let _ = world.fs.delete_branch(dir_uid, name, &user);
+            let (fs, proc) = world.fs_mut_and_proc(pid);
+            let _ = fs.delete_branch(dir_uid, name, &proc.user);
             return Err(e);
         }
         let target = Self::resolve_target(world, pid, dir_uid, name)?;
@@ -585,7 +584,7 @@ impl Monitor {
         // Hash-set cycle check: torn parent pointers can make this climb
         // arbitrarily long before the salvager runs, and a linear `seen`
         // scan would make it quadratic.
-        let mut seen: std::collections::HashSet<SegUid> = std::collections::HashSet::new();
+        let mut seen: mks_trace::digest::IdSet<SegUid> = Default::default();
         loop {
             if matches!(world.fs.quota_cell(dir_uid), Ok(Some(_))) {
                 return Some(dir_uid);
@@ -607,10 +606,9 @@ impl Monitor {
         Self::admit(world, pid, "quota_get")?;
         let _op = Self::op_span(world, pid, MonitorOp::QuotaGet);
         let dir_uid = Self::real_dir(world, pid, dir_segno)?;
-        let user = world.proc(pid).user.clone();
         if !world
             .fs
-            .dir_access(dir_uid, &user)
+            .dir_access(dir_uid, &world.proc(pid).user)
             .map_err(AccessError::Fs)?
             .status
         {
@@ -635,10 +633,9 @@ impl Monitor {
         Self::admit(world, pid, "set_quota")?;
         let _op = Self::op_span(world, pid, MonitorOp::SetQuota);
         let dir_uid = Self::real_dir(world, pid, dir_segno)?;
-        let user = world.proc(pid).user.clone();
         if !world
             .fs
-            .dir_access(dir_uid, &user)
+            .dir_access(dir_uid, &world.proc(pid).user)
             .map_err(AccessError::Fs)?
             .modify
         {
@@ -719,8 +716,15 @@ impl Monitor {
     }
 
     /// Gate `delete_branch_` for segments: removes the branch (requires
-    /// `m` on the directory), destroys and scrubs the storage, revokes the
-    /// caller's binding, and releases the quota charge.
+    /// `m` on the directory), destroys and scrubs the storage, revokes
+    /// every descriptor for it, and releases the quota charge.
+    ///
+    /// Revocation here does not depend on the configuration: a
+    /// descriptor that outlived its segment would point at a freed AST
+    /// slot, and then at whatever segment is activated into it next.
+    /// The caller's binding goes away. Every other bound process loses
+    /// its SDW but keeps its KST entry until it terminates it, so a
+    /// stale segment number faults and no KST changes under its owner.
     pub fn delete_segment(
         world: &mut KernelWorld,
         pid: KProcId,
@@ -730,16 +734,20 @@ impl Monitor {
         Self::admit(world, pid, format_args!("delete_segment {name}"))?;
         let _op = Self::op_span(world, pid, MonitorOp::DeleteSegment);
         let dir_uid = Self::real_dir(world, pid, dir_segno)?;
-        let user = world.proc(pid).user.clone();
-        let branch = world
-            .fs
-            .delete_branch(dir_uid, name, &user)
+        let (fs, proc) = world.fs_mut_and_proc(pid);
+        let branch = fs
+            .delete_branch(dir_uid, name, &proc.user)
             .map_err(AccessError::Fs)?;
         let uid = branch.uid;
         if world.vm.machine.ast.find(uid).is_some() {
             mks_vm::SegControl::delete(&mut world.vm, uid).map_err(AccessError::Mech)?;
         }
-        let (_, proc) = world.vm_and_proc_mut(pid);
+        for proc in world.fs_and_procs_mut().1 {
+            if let Some(s) = proc.kst.core().segno_of(uid) {
+                proc.aspace.clear(s);
+            }
+        }
+        let proc = world.proc_mut(pid);
         if let Some(s) = proc.kst.core().segno_of(uid) {
             match &mut proc.kst {
                 KstState::Kernel(k) => {
@@ -749,7 +757,6 @@ impl Monitor {
                     let _ = k.terminate_segno(s);
                 }
             }
-            proc.aspace.clear(s);
         }
         Self::release_quota(world, dir_uid, 1);
         Ok(())
@@ -772,10 +779,9 @@ impl Monitor {
             let dlabel = world.fs.dir_label(dir_uid).map_err(AccessError::Fs)?;
             mls_check(&subj, &dlabel, AccessKind::Write).map_err(AccessError::Mls)?;
         }
-        let user = world.proc(pid).user.clone();
-        let uid = world
-            .fs
-            .create_directory(dir_uid, name, &user, label)
+        let (fs, proc) = world.fs_mut_and_proc(pid);
+        let uid = fs
+            .create_directory(dir_uid, name, &proc.user, label)
             .map_err(AccessError::Fs)?;
         Ok(world.proc_mut(pid).kst.core_mut().bind(uid, true))
     }
@@ -795,10 +801,9 @@ impl Monitor {
             let dlabel = world.fs.dir_label(dir_uid).map_err(AccessError::Fs)?;
             mls_check(&proc.label, &dlabel, AccessKind::Read).map_err(|_| AccessError::NoInfo)?;
         }
-        let user = proc.user.clone();
         let branches = world
             .fs
-            .list(dir_uid, &user)
+            .list(dir_uid, &proc.user)
             .map_err(|_| AccessError::NoInfo)?;
         Ok(branches
             .iter()
@@ -823,10 +828,9 @@ impl Monitor {
             let dlabel = world.fs.dir_label(dir_uid).map_err(AccessError::Fs)?;
             mls_check(&proc.label, &dlabel, AccessKind::Read).map_err(|_| AccessError::NoInfo)?;
         }
-        let user = proc.user.clone();
         let branch = world
             .fs
-            .get_branch(dir_uid, name, &user)
+            .get_branch(dir_uid, name, &proc.user)
             .map_err(|_| AccessError::NoInfo)?;
         Ok(match &branch.kind {
             BranchKind::Segment {
@@ -868,10 +872,8 @@ impl Monitor {
         Self::admit(world, pid, format_args!("set_segment_acl {name}"))?;
         let _op = Self::op_span(world, pid, MonitorOp::SetSegmentAcl);
         let dir_uid = Self::real_dir(world, pid, dir_segno)?;
-        let user = world.proc(pid).user.clone();
-        world
-            .fs
-            .set_segment_acl(dir_uid, name, &user, new_acl)
+        let (fs, proc) = world.fs_mut_and_proc(pid);
+        fs.set_segment_acl(dir_uid, name, &proc.user, new_acl)
             .map_err(AccessError::Fs)?;
         if world.cfg.revocation {
             Self::setfaults(world, dir_uid, name);
@@ -880,28 +882,27 @@ impl Monitor {
     }
 
     /// Recomputes every process's descriptor for the branch `name` in
-    /// `dir_uid` under its current ACL and labels.
+    /// `dir_uid` under its current ACL and labels, reading the ACL where
+    /// the branch holds it.
     fn setfaults(world: &mut KernelWorld, dir_uid: SegUid, name: &str) {
-        let Some(branch) = world.fs.peek_branch(dir_uid, name) else {
+        let mls_on = world.cfg.mls;
+        let (fs, procs) = world.fs_and_procs_mut();
+        let Some(branch) = fs.peek_branch(dir_uid, name) else {
             return;
         };
         let BranchKind::Segment { acl, .. } = &branch.kind else {
             return;
         };
-        let uid = branch.uid;
-        let acl = acl.clone();
-        let obj_label = branch.label;
-        let mls_on = world.cfg.mls;
-        world.for_each_proc_mut(|proc| {
-            let Some(segno) = proc.kst.core().segno_of(uid) else {
-                return;
+        for proc in procs {
+            let Some(segno) = proc.kst.core().segno_of(branch.uid) else {
+                continue;
             };
             let acl_mode = acl.effective(&proc.user).unwrap_or(AclMode::NULL);
-            let mode = combine(acl_mode, &proc.label, &obj_label, mls_on);
+            let mode = combine(acl_mode, &proc.label, &branch.label, mls_on);
             if let Some(sdw) = proc.aspace.get_mut(segno) {
                 sdw.mode = mode;
             }
-        });
+        }
     }
 
     /// Gate `terminate_segno`.

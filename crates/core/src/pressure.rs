@@ -29,9 +29,8 @@
 //! before this module existed (machine-checked by the differential test
 //! in `tests/overload_resilience.rs`).
 
-use std::collections::HashMap;
-
 use mks_hw::Cycles;
+use mks_trace::digest::IdMap;
 
 use crate::world::{KProcId, KernelWorld};
 
@@ -248,7 +247,7 @@ pub struct AdmissionControl {
     enabled: bool,
     /// The active tuning (gauge caps, shed thresholds, deadline budget).
     pub cfg: PressureConfig,
-    priorities: HashMap<KProcId, Priority>,
+    priorities: IdMap<KProcId, Priority>,
     run_slots: Option<(usize, usize)>,
     decisions: Vec<AdmissionDecision>,
     admitted_by_class: [u64; NR_PRIORITIES],

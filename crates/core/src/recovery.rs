@@ -100,23 +100,9 @@ impl RecoveryOutcome {
     }
 }
 
-/// Maps a salvager problem to the stable kind name used in reports.
-pub fn problem_kind(p: &Problem) -> &'static str {
-    match p {
-        Problem::DuplicateName { .. } => "duplicate-name",
-        Problem::LabelViolation { .. } => "label-violation",
-        Problem::MissingNode { .. } => "missing-node",
-        Problem::OrphanNode { .. } => "orphan-node",
-        Problem::WrongParent { .. } => "wrong-parent",
-        Problem::NamelessBranch { .. } => "nameless-branch",
-        Problem::QuotaOvercommit { .. } => "quota-overcommit",
-        Problem::DuplicateUid { .. } => "duplicate-uid",
-    }
-}
-
 /// The distinct kind names of `problems`, sorted.
 fn kinds_of(problems: &[Problem]) -> Vec<&'static str> {
-    let mut kinds: Vec<&'static str> = problems.iter().map(problem_kind).collect();
+    let mut kinds: Vec<&'static str> = problems.iter().map(Problem::kind).collect();
     kinds.sort_unstable();
     kinds.dedup();
     kinds

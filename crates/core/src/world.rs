@@ -9,7 +9,6 @@
 //! execution, descriptor segment, and KST — in whichever configuration the
 //! system was assembled with.
 
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use mks_fs::{FileSystem, KernelKst, LegacyKst, UserId};
@@ -20,6 +19,7 @@ use mks_linker::kernel_cfg::LegacyLinker;
 use mks_linker::user_cfg::UserLinker;
 use mks_mls::Label;
 use mks_procs::{HasMachine, SchedMode, TcConfig, TrafficController};
+use mks_trace::digest::IdMap;
 use mks_vm::{
     ClockPolicy, ParallelConfig, ParallelPageControl, SequentialPageControl, VmAccess, VmWorld,
 };
@@ -133,7 +133,7 @@ pub struct KernelWorld {
     /// Observational only — never folded into the state digest, so
     /// replicas with different vantage points still digest equal.
     pub repl_status: Option<mks_trace::ReplSnapshot>,
-    procs: HashMap<KProcId, ProcState>,
+    procs: IdMap<KProcId, ProcState>,
     next_pid: u32,
 }
 
@@ -222,7 +222,7 @@ impl System {
             admission: AdmissionControl::disabled(),
             commits: CommitLog::new(),
             repl_status: None,
-            procs: HashMap::new(),
+            procs: IdMap::default(),
             next_pid: 1,
         };
         System { tc, world }
@@ -392,16 +392,22 @@ impl KernelWorld {
         kst.bind(FileSystem::ROOT, true)
     }
 
-    /// Applies `f` to every live process record (kernel-internal; used by
-    /// revocation to retract descriptors system-wide).
-    pub(crate) fn for_each_proc_mut(&mut self, mut f: impl FnMut(&mut ProcState)) {
-        let mut pids: Vec<KProcId> = self.procs.keys().copied().collect();
-        pids.sort_unstable();
-        for pid in pids {
-            if let Some(p) = self.procs.get_mut(&pid) {
-                f(p);
-            }
-        }
+    /// Split borrow: the file system (shared) plus every live process
+    /// record (mutable), in no particular order. Used by revocation to
+    /// retract descriptors system-wide: each process's descriptor is
+    /// recomputed on its own, so the walk order is unobservable.
+    pub(crate) fn fs_and_procs_mut(
+        &mut self,
+    ) -> (&FileSystem, impl Iterator<Item = &mut ProcState>) {
+        (&self.fs, self.procs.values_mut())
+    }
+
+    /// Split borrow: the file system (mutable) plus one process (shared).
+    /// The mutation gates hand the caller's principal to the hierarchy
+    /// without copying it.
+    pub(crate) fn fs_mut_and_proc(&mut self, pid: KProcId) -> (&mut FileSystem, &ProcState) {
+        let p = self.procs.get(&pid).expect("unknown kernel process");
+        (&mut self.fs, p)
     }
 
     /// Split borrow: the file system (shared) plus one process (mutable).

@@ -3,10 +3,13 @@
 //! Every reference is mediated, so whatever one warm `Monitor::read` or
 //! `Monitor::call_gate` allocates is paid on every operation. The
 //! instrumentation must not build strings per op: principals and sketch
-//! names are rendered once, and only the export renders text. This test
+//! names are rendered once, and only the export renders text. The
+//! state-changing gates borrow the caller's principal instead of cloning
+//! it, and revocation reads the ACL where the branch holds it. This test
 //! counts the allocations of one warm operation with a counting global
-//! allocator and pins them, so a regression that puts a `format!` back
-//! on the path fails here instead of showing up as lost throughput.
+//! allocator and pins them, so a regression that puts a `format!` or a
+//! clone back on the path fails here instead of showing up as lost
+//! throughput.
 //!
 //! The count is per thread, so other tests running in parallel do not
 //! disturb it. The commit seal, which every replayable operation pays,
@@ -121,7 +124,81 @@ fn warm_metering_gate_call_allocates_the_pinned_count() {
     });
     let (n, ring) = allocs_of(|| Monitor::call_gate(&mut sys.world, pid, "hcs_", "metering_get"));
     assert!(ring.is_ok());
-    assert_eq!(n, 2, "heap allocations in one warm Monitor::call_gate");
+    // The verdict line; the trace record shares the process's principal.
+    assert_eq!(n, 1, "heap allocations in one warm Monitor::call_gate");
+}
+
+/// The ACL the mutation pins pass: a wildcard and two principals.
+fn three_entry_acl() -> Acl<AclMode> {
+    let mut acl = Acl::of("*.*.*", AclMode::RW);
+    acl.add("Jones.CSR.a", AclMode::R);
+    acl.add("Smith.Guest.a", AclMode::REW);
+    acl
+}
+
+#[test]
+fn warm_set_segment_acl_allocates_the_pinned_count() {
+    let (mut sys, pid, _) = world_with_segment();
+    let root = sys.world.bind_root(pid);
+    warm(&mut sys, |s| {
+        Monitor::set_segment_acl(&mut s.world, pid, root, "hot", three_entry_acl())
+            .expect("warm set_segment_acl");
+    });
+    let acl = three_entry_acl();
+    let (n, out) = allocs_of(|| Monitor::set_segment_acl(&mut sys.world, pid, root, "hot", acl));
+    assert!(out.is_ok());
+    assert_eq!(
+        n, 5,
+        "heap allocations in one warm Monitor::set_segment_acl"
+    );
+}
+
+#[test]
+fn warm_create_and_delete_allocate_the_pinned_counts() {
+    let (mut sys, pid, _) = world_with_segment();
+    let root = sys.world.bind_root(pid);
+    let create = |s: &mut System, acl| {
+        Monitor::create_segment(
+            &mut s.world,
+            pid,
+            root,
+            "transient",
+            acl,
+            RingBrackets::new(4, 4, 4),
+            Label::BOTTOM,
+        )
+    };
+    warm(&mut sys, |s| {
+        create(s, three_entry_acl()).expect("warm create");
+        Monitor::delete_segment(&mut s.world, pid, root, "transient").expect("warm delete");
+    });
+    let acl = three_entry_acl();
+    let (n, out) = allocs_of(|| create(&mut sys, acl));
+    assert!(out.is_ok());
+    assert_eq!(
+        n, 14,
+        "heap allocations in one warm Monitor::create_segment"
+    );
+    let (n, out) = allocs_of(|| Monitor::delete_segment(&mut sys.world, pid, root, "transient"));
+    assert!(out.is_ok());
+    assert_eq!(n, 5, "heap allocations in one warm Monitor::delete_segment");
+}
+
+#[test]
+fn warm_initiate_and_terminate_allocate_the_pinned_counts() {
+    let (mut sys, pid, seg) = world_with_segment();
+    let root = sys.world.bind_root(pid);
+    Monitor::terminate(&mut sys.world, pid, seg).expect("unbind the creator's binding");
+    warm(&mut sys, |s| {
+        let seg = Monitor::initiate(&mut s.world, pid, root, "hot").expect("warm initiate");
+        Monitor::terminate(&mut s.world, pid, seg).expect("warm terminate");
+    });
+    let (n, seg) = allocs_of(|| Monitor::initiate(&mut sys.world, pid, root, "hot"));
+    let seg = seg.expect("initiate");
+    assert_eq!(n, 5, "heap allocations in one warm Monitor::initiate");
+    let (n, out) = allocs_of(|| Monitor::terminate(&mut sys.world, pid, seg));
+    assert!(out.is_ok());
+    assert_eq!(n, 2, "heap allocations in one warm Monitor::terminate");
 }
 
 #[test]

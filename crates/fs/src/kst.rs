@@ -44,8 +44,8 @@ pub struct KstEntry {
 /// The post-removal kernel KST: minimal protected address-space state.
 #[derive(Debug, Default)]
 pub struct KernelKst {
-    by_segno: crate::det_hash::DetHashMap<SegNo, KstEntry>,
-    by_uid: crate::det_hash::DetHashMap<SegUid, SegNo>,
+    by_segno: mks_trace::digest::IdMap<SegNo, KstEntry>,
+    by_uid: mks_trace::digest::IdMap<SegUid, SegNo>,
     next_segno: u16,
     free_segnos: Vec<u16>,
     next_phantom_uid: u64,
@@ -63,8 +63,8 @@ impl KernelKst {
     /// Creates an empty KST.
     pub fn new() -> KernelKst {
         KernelKst {
-            by_segno: crate::det_hash::DetHashMap::default(),
-            by_uid: crate::det_hash::DetHashMap::default(),
+            by_segno: Default::default(),
+            by_uid: Default::default(),
             next_segno: FIRST_USER_SEGNO,
             free_segnos: Vec::new(),
             next_phantom_uid: PHANTOM_UID_BASE,

@@ -73,7 +73,7 @@ struct LegacyMeta {
 pub struct LegacyKst {
     /// The binding core (identical machinery to the kernel configuration).
     pub core: KernelKst,
-    meta: HashMap<SegNo, LegacyMeta>,
+    meta: mks_trace::digest::IdMap<SegNo, LegacyMeta>,
     /// Per-ring reference-name tables, in supervisor storage.
     refnames: Vec<HashMap<String, SegNo>>,
     /// Pathname → segno cache, invalidated on rename/delete.
@@ -81,7 +81,7 @@ pub struct LegacyKst {
     /// Working directory per ring.
     wdirs: Vec<String>,
     /// Inferior tracking: directory uid → segnos initiated beneath it.
-    inferiors: HashMap<SegUid, Vec<SegNo>>,
+    inferiors: mks_trace::digest::IdMap<SegUid, Vec<SegNo>>,
     /// Gate-call counters (the legacy KST kept metering too).
     calls: u64,
 }
@@ -98,11 +98,11 @@ impl LegacyKst {
     pub fn new() -> LegacyKst {
         LegacyKst {
             core: KernelKst::new(),
-            meta: HashMap::new(),
+            meta: Default::default(),
             refnames: (0..NR_RINGS).map(|_| HashMap::new()).collect(),
             path_cache: HashMap::new(),
             wdirs: (0..NR_RINGS).map(|_| ">".to_string()).collect(),
-            inferiors: HashMap::new(),
+            inferiors: Default::default(),
             calls: 0,
         }
     }

@@ -21,6 +21,8 @@
 //!   about the existence of directories the caller may not probe.
 
 pub mod acl;
+#[cfg(test)]
+mod acl_index_props;
 pub mod det_hash;
 #[cfg(test)]
 mod dir_index_props;

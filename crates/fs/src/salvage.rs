@@ -12,9 +12,8 @@
 //! in the *restrictive* direction: labels are raised, never lowered;
 //! unreferencable state is dropped, never guessed back).
 
-use std::collections::{HashMap, HashSet};
-
 use mks_hw::SegUid;
+use mks_trace::digest::{IdMap, IdSet};
 
 use crate::hierarchy::FileSystem;
 
@@ -69,6 +68,23 @@ pub enum Problem {
     },
 }
 
+impl Problem {
+    /// The stable kind name reports use (E15's recovery outcomes, the
+    /// tear-mode coverage test).
+    pub fn kind(&self) -> &'static str {
+        match self {
+            Problem::DuplicateName { .. } => "duplicate-name",
+            Problem::LabelViolation { .. } => "label-violation",
+            Problem::MissingNode { .. } => "missing-node",
+            Problem::OrphanNode { .. } => "orphan-node",
+            Problem::WrongParent { .. } => "wrong-parent",
+            Problem::NamelessBranch { .. } => "nameless-branch",
+            Problem::QuotaOvercommit { .. } => "quota-overcommit",
+            Problem::DuplicateUid { .. } => "duplicate-uid",
+        }
+    }
+}
+
 /// What the salvager found and did.
 #[derive(Debug, Default)]
 pub struct SalvageReport {
@@ -93,8 +109,8 @@ impl FileSystem {
         let dirs: Vec<SegUid> = self.node_uids();
 
         // Pass 1: per-directory checks (names, labels, quota, node refs).
-        let mut seen_uids: HashMap<SegUid, SegUid> = HashMap::new(); // uid -> first dir
-        let mut referenced: HashSet<SegUid> = HashSet::new();
+        let mut seen_uids: IdMap<SegUid, SegUid> = IdMap::default(); // uid -> first dir
+        let mut referenced: IdSet<SegUid> = IdSet::default();
         for dir in &dirs {
             let dir = *dir;
             let dir_label = match self.dir_label(dir) {

@@ -145,3 +145,25 @@ proptest! {
         prop_assert!(parse_path(&s).is_err());
     }
 }
+
+/// With the full-width index key nothing collides here, so the work
+/// units E18 claims are what they were before the index was keyed by
+/// digest: a literal hit costs one probe, a miss the probe plus every
+/// wildcard entry. (The crate's unit tests narrow the key to force
+/// collisions instead.)
+#[test]
+fn work_units_are_one_per_hit_and_one_plus_the_wildcards_per_miss() {
+    let mut acl = Acl::of("*.*.*", AclMode::R);
+    acl.add("*.CSR.*", AclMode::RW);
+    acl.add("Jones.*.*", AclMode::RE);
+    for i in 0..10_000 {
+        acl.add(&format!("U{i}.CSR.a"), AclMode::REW);
+    }
+    assert!(acl.remove("U9.CSR.a"));
+    for i in (0..10_000).filter(|&i| i != 9) {
+        let u = UserId::new(&format!("U{i}"), "CSR", "a");
+        assert_eq!(acl.effective_counted(&u), (Some(AclMode::REW), 1), "{u:?}");
+    }
+    let u9 = UserId::new("U9", "CSR", "a");
+    assert_eq!(acl.effective_counted(&u9), (Some(AclMode::RW), 4));
+}

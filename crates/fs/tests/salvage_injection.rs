@@ -178,7 +178,7 @@ fn all_eight_arms_are_reachable_by_detail_sweep() {
         for nth in [0, 3] {
             let (problems, _) = problems_under(tear(nth, detail));
             for p in &problems {
-                kinds.insert(problem_kind(p));
+                kinds.insert(p.kind());
             }
         }
     }
@@ -187,17 +187,4 @@ fn all_eight_arms_are_reachable_by_detail_sweep() {
         8,
         "detail sweep must reach every repair arm, got {kinds:?}"
     );
-}
-
-fn problem_kind(p: &Problem) -> &'static str {
-    match p {
-        Problem::DuplicateName { .. } => "duplicate-name",
-        Problem::LabelViolation { .. } => "label-violation",
-        Problem::MissingNode { .. } => "missing-node",
-        Problem::OrphanNode { .. } => "orphan-node",
-        Problem::WrongParent { .. } => "wrong-parent",
-        Problem::NamelessBranch { .. } => "nameless-branch",
-        Problem::QuotaOvercommit { .. } => "quota-overcommit",
-        Problem::DuplicateUid { .. } => "duplicate-uid",
-    }
 }

@@ -8,7 +8,7 @@
 //! them during address translation and sets the used/modified bits exactly as
 //! the 6180's appending unit did.
 
-use std::collections::HashMap;
+use mks_trace::digest::IdMap;
 
 use crate::mem::{FrameId, PAGE_WORDS};
 use crate::word::{SegUid, MAX_SEG_WORDS};
@@ -110,7 +110,7 @@ pub struct AstEntry {
 pub struct Ast {
     entries: Vec<Option<AstEntry>>,
     free: Vec<u32>,
-    by_uid: HashMap<SegUid, AstIndex>,
+    by_uid: IdMap<SegUid, AstIndex>,
 }
 
 impl Ast {

@@ -54,7 +54,7 @@ pub use machine::{AccessType, CallOutcome, Machine};
 pub use mem::{FrameId, PhysMem, PAGE_WORDS};
 /// The shared FNV-1a and SplitMix64 primitives (defined in `mks-trace`,
 /// which sits below this crate).
-pub use mks_trace::digest::{fnv64, Fnv64, SplitMix64};
+pub use mks_trace::digest::{fnv64, Fnv64, IdMap, IdSet, SplitMix64};
 pub use module::{source_weight, Category, ModuleInfo};
 pub use ring::{RingBrackets, RingNo, NR_RINGS};
 pub use sdw::{AccessMode, Sdw};

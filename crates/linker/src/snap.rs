@@ -121,8 +121,8 @@ pub(crate) mod testenv {
     /// A miniature linking environment: directories of object segments.
     #[derive(Default)]
     pub struct MiniEnv {
-        pub dirs: HashMap<SegNo, HashMap<String, ObjectSegment>>,
-        pub bound: HashMap<SegNo, ObjectSegment>,
+        pub dirs: mks_hw::IdMap<SegNo, HashMap<String, ObjectSegment>>,
+        pub bound: mks_hw::IdMap<SegNo, ObjectSegment>,
         pub next_segno: u16,
         pub initiations: u32,
     }

@@ -325,7 +325,7 @@ impl Observatory {
                 self.push_alert(Alert {
                     kind: AlertKind::LabelRaise,
                     at: record.at,
-                    principal: record.principal.clone(),
+                    principal: record.principal.as_deref().map(str::to_owned),
                     detail: record.detail.to_string(),
                 });
             }

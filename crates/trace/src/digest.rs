@@ -1,14 +1,18 @@
 //! The repository's two deterministic mixing primitives, one copy each:
 //! 64-bit FNV-1a for content digests (boot images, commit seals, lane
-//! and state fingerprints, password hashing) and SplitMix64 for seeded,
-//! replayable pseudo-randomness (fault plans, exemplar reservoirs,
-//! head sampling).
+//! and state fingerprints, password hashing, ACL index keys) and
+//! SplitMix64 for seeded, replayable pseudo-randomness (fault plans,
+//! exemplar reservoirs, head sampling) and for hashing the kernel's
+//! integer ids ([`IdMap`]).
 //!
 //! They live here because `mks-trace` sits at the bottom of the
 //! dependency order and needs both itself; `mks-hw` re-exports them
 //! under its historical paths. Everything is `#[inline]`, so hot paths
 //! in other crates (commit sealing seals every operation) still inline
 //! them.
+
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Streaming 64-bit FNV-1a. Feeding the same bytes in any split yields
 /// the same digest, so callers hash an encoding piecewise as they write
@@ -110,8 +114,69 @@ impl SplitMix64 {
     }
 }
 
+/// A hasher for kernel-assigned integer ids (pids, segment uids and
+/// numbers, AST slots): each word is folded through the SplitMix64
+/// finalizer, a bijective avalanche, so consecutive ids spread over the
+/// whole table. One multiply-xorshift chain per word, where SipHash runs
+/// its rounds and finalization: id keys are minted by the kernel, never
+/// chosen by a caller, so flooding resistance buys nothing here. The
+/// layout is identical in every process, like `mks_fs`'s `DetHashMap`.
+#[derive(Clone, Copy, Default, Debug)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    /// Byte strings fold in 8-byte little-endian words (ids never take
+    /// this path; it keeps the hasher total).
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, w: u8) {
+        self.write_u64(u64::from(w));
+    }
+
+    #[inline]
+    fn write_u16(&mut self, w: u16) {
+        self.write_u64(u64::from(w));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, w: u32) {
+        self.write_u64(u64::from(w));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, w: u64) {
+        self.0 = splitmix64_mix(self.0 ^ w);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, w: usize) {
+        self.write_u64(w as u64);
+    }
+}
+
+/// A `HashMap` keyed by kernel-assigned integer ids, hashed by
+/// [`IdHasher`]. Names keep `mks_fs`'s fixed-key SipHash `DetHashMap`.
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// The set form of [`IdMap`].
+pub type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
+
 #[cfg(test)]
 mod tests {
+    use std::hash::Hash;
+
     use super::*;
 
     #[test]
@@ -139,5 +204,26 @@ mod tests {
         assert_eq!(r.next_u64(), 0xe220_a839_7b1d_cdaf);
         assert_eq!(r.next_u64(), 0x6e78_9e6a_a1b9_65f4);
         assert_eq!(splitmix64_mix(GOLDEN_GAMMA), 0xe220_a839_7b1d_cdaf);
+    }
+
+    #[test]
+    fn id_hashes_are_one_mix_per_word_and_spread_consecutive_ids() {
+        let hash = |k: &dyn Fn(&mut IdHasher)| {
+            let mut h = IdHasher::default();
+            k(&mut h);
+            h.finish()
+        };
+        // Every integer width is the same word step.
+        let w = hash(&|h| 7u64.hash(h));
+        assert_eq!(w, splitmix64_mix(7));
+        assert_eq!(hash(&|h| 7u32.hash(h)), w);
+        assert_eq!(hash(&|h| 7u16.hash(h)), w);
+        assert_eq!(hash(&|h| h.write(&7u64.to_le_bytes())), w);
+        // Consecutive ids land in distinct low-bit buckets of a small table.
+        let buckets: IdSet<u64> = (0..64u64).map(|i| hash(&|h| i.hash(h)) & 0xff).collect();
+        assert!(buckets.len() > 32, "{} of 64", buckets.len());
+        let mut m: IdMap<u32, &str> = IdMap::default();
+        m.insert(3, "three");
+        assert_eq!(m.get(&3), Some(&"three"));
     }
 }

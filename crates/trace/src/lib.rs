@@ -119,7 +119,7 @@ impl FlightRecorder {
         &mut self,
         layer: Layer,
         kind: EventKind,
-        principal: Option<String>,
+        principal: Option<Rc<str>>,
         detail: Cow<'static, str>,
     ) {
         let record = TraceRecord {
@@ -300,17 +300,18 @@ impl TraceHandle {
         self.0.borrow_mut().append(layer, kind, None, detail.into());
     }
 
-    /// Appends an event record attributed to a principal.
+    /// Appends an event record attributed to a principal. The record
+    /// shares the caller's copy of the principal.
     pub fn event_for(
         &self,
         layer: Layer,
         kind: EventKind,
-        principal: &str,
+        principal: Rc<str>,
         detail: impl Into<Cow<'static, str>>,
     ) {
         self.0
             .borrow_mut()
-            .append(layer, kind, Some(principal.to_string()), detail.into());
+            .append(layer, kind, Some(principal), detail.into());
     }
 
     /// Opens a span; it closes when the returned guard drops (or at
@@ -562,7 +563,7 @@ mod tests {
         t.event_for(
             Layer::Procs,
             EventKind::IpcSend,
-            "Admin.SysAdmin.a",
+            "Admin.SysAdmin.a".into(),
             "chan 3",
         );
         g.end();

@@ -1,6 +1,7 @@
 //! Trace record structure: what one flight-recorder entry says.
 
 use std::borrow::Cow;
+use std::rc::Rc;
 
 use crate::clock::Cycles;
 use crate::span::SpanId;
@@ -150,8 +151,10 @@ pub struct TraceRecord {
     pub layer: Layer,
     /// Event kind.
     pub kind: EventKind,
-    /// Acting principal, when one is known (`Person.Project.tag`).
-    pub principal: Option<String>,
+    /// Acting principal, when one is known (`Person.Project.tag`). Shared:
+    /// the monitor passes the process's once-rendered copy, so recording
+    /// a verdict copies no string.
+    pub principal: Option<Rc<str>>,
     /// The innermost open span at emit time, if any.
     pub span: Option<SpanId>,
     /// Free-form detail (segment names, fault kinds, verdict text).

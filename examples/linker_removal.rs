@@ -10,7 +10,7 @@
 //! cargo run -p mks-bench --example linker_removal
 //! ```
 
-use mks_hw::{SegNo, Word};
+use mks_hw::{IdMap, SegNo, Word};
 use mks_linker::kernel_cfg::{LegacyLinkOutcome, LegacyLinker};
 use mks_linker::object::ObjectSegment;
 use mks_linker::snap::LinkEnv;
@@ -22,7 +22,7 @@ use std::collections::HashMap;
 struct Library {
     dir: SegNo,
     objects: HashMap<String, ObjectSegment>,
-    bound: HashMap<SegNo, ObjectSegment>,
+    bound: IdMap<SegNo, ObjectSegment>,
     next: u16,
 }
 
@@ -44,7 +44,7 @@ impl Library {
         Library {
             dir: SegNo(10),
             objects,
-            bound: HashMap::new(),
+            bound: IdMap::default(),
             next: 100,
         }
     }

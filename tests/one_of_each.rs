@@ -8,6 +8,10 @@
 //! written once (`statemachine/workload.rs`), and the set of files that
 //! call a `Monitor` entry point directly — around the state machine's
 //! single door, `KernelStateMachine::apply` — may only shrink.
+//!
+//! And for hashers: one per kind of key. Maps and sets keyed by the
+//! integer ids the kernel mints use `mks_trace::digest::IdMap`/`IdSet`;
+//! directory entry names use the fixed-key SipHash `DetHashMap`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -211,5 +215,48 @@ fn direct_monitor_callers_only_shrink() {
     assert!(
         gone.is_empty(),
         "these files no longer call `Monitor::` directly; shrink the list: {gone:?}"
+    );
+}
+
+/// The integer ids the kernel mints. A hash map or set keyed by one of
+/// them must be an `IdMap`/`IdSet`.
+const ID_KEYS: [&str; 4] = ["KProcId", "SegUid", "SegNo", "AstIndex"];
+
+/// The key type of each `HashMap<…>`/`HashSet<…>` (including
+/// `DetHashMap<…>`) spelled on `line`, without any path prefix.
+fn hashed_keys(line: &str) -> Vec<&str> {
+    let mut keys = Vec::new();
+    for kind in ["HashMap<", "HashSet<"] {
+        for (at, _) in line.match_indices(kind) {
+            let rest = &line[at + kind.len()..];
+            let key = rest.split([',', '>']).next().unwrap_or("").trim();
+            keys.push(key.rsplit("::").next().unwrap_or(key));
+        }
+    }
+    keys
+}
+
+#[test]
+fn maps_keyed_by_kernel_ids_use_the_id_hasher() {
+    // Split so this file does not match itself.
+    let spelled = concat!("x: DetHash", "Map<mks_hw::SegUid, usize>,");
+    assert_eq!(hashed_keys(spelled), ["SegUid"]);
+    assert_eq!(
+        hashed_keys("y: IdMap<SegNo, KstEntry>,"),
+        Vec::<&str>::new()
+    );
+    let mut strays = Vec::new();
+    for (rel, src) in scanned_sources() {
+        for (i, line) in src.lines().enumerate() {
+            if hashed_keys(line).iter().any(|k| ID_KEYS.contains(k)) {
+                strays.push(format!("{rel}:{}: {}", i + 1, line.trim()));
+            }
+        }
+    }
+    assert!(
+        strays.is_empty(),
+        "maps keyed by kernel ids must be `mks_trace::digest::IdMap`/`IdSet` \
+         (re-exported as `mks_hw::IdMap`):\n{}",
+        strays.join("\n")
     );
 }

@@ -115,7 +115,7 @@ fn linking_resolves_identically_in_both_packagings() {
     use mks_linker::user_cfg::{UserLinkOutcome, UserLinker};
     use mks_linker::SearchRules;
 
-    struct Env(std::collections::HashMap<SegNo, ObjectSegment>, u16);
+    struct Env(mks_hw::IdMap<SegNo, ObjectSegment>, u16);
     impl LinkEnv for Env {
         fn initiate_segment(&mut self, dir: SegNo, name: &str) -> Option<SegNo> {
             if dir != SegNo(10) || name != "lib_" {
