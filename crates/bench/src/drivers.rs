@@ -1,14 +1,12 @@
 //! Shared workload drivers for the experiments.
 
 use mks_hw::ast::PageState;
-use mks_hw::{CpuModel, Machine, SegUid, Word, PAGE_WORDS};
+use mks_hw::{CpuModel, Machine, SegUid, SplitMix64, Word, PAGE_WORDS};
 use mks_procs::{SchedMode, TcConfig, TrafficController};
 use mks_vm::{
     mechanism, BulkFreerJob, ClockPolicy, CoreFreerJob, ParallelConfig, ParallelPageControl,
     RefTrace, SequentialPageControl, VmStats, VmWorld,
 };
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Activates every segment of `trace` in `w`.
 fn activate_trace(w: &mut VmWorld, trace: &RefTrace) {
@@ -68,7 +66,7 @@ pub fn run_parallel(
 
 /// [`run_parallel`], additionally returning the run's flight-recorder
 /// snapshot.
-pub fn run_parallel_metered(
+pub(crate) fn run_parallel_metered(
     frames: usize,
     bulk: usize,
     trace: &RefTrace,
@@ -86,7 +84,7 @@ pub fn run_parallel_metered(
 
 /// [`run_parallel`] with explicit freeing-daemon watermarks (the A1
 /// ablation sweeps these).
-pub fn run_parallel_with(
+pub(crate) fn run_parallel_with(
     frames: usize,
     bulk: usize,
     trace: &RefTrace,
@@ -101,7 +99,7 @@ pub fn run_parallel_with(
 
 /// [`run_parallel_with`], additionally returning the run's
 /// flight-recorder snapshot.
-pub fn run_parallel_with_metered(
+fn run_parallel_with_metered(
     frames: usize,
     bulk: usize,
     trace: &RefTrace,
@@ -240,8 +238,8 @@ fn chaos_verify(w: &mut VmWorld) -> (u64, u64) {
 /// the corrupted policy can only issue mechanism-gate requests, which are
 /// validated. Every `rounds` iterations a deliberately garbled decision is
 /// produced.
-pub fn chaos_split(seed: u64, rounds: u32) -> ChaosOutcome {
-    let mut rng = StdRng::seed_from_u64(seed);
+pub(crate) fn chaos_split(seed: u64, rounds: u32) -> ChaosOutcome {
+    let mut rng = SplitMix64::new(seed);
     let mut w = chaos_world(8);
     let mut out = ChaosOutcome::default();
     for _ in 0..rounds {
@@ -249,8 +247,8 @@ pub fn chaos_split(seed: u64, rounds: u32) -> ChaosOutcome {
         // The corrupted policy emits a garbage decision: a random
         // (uid, page) that may or may not exist, may already be evicted,
         // may be out of range.
-        let uid = SegUid(95 + rng.gen_range(0..12));
-        let page = rng.gen_range(0..CHAOS_PAGES * 2);
+        let uid = SegUid(95 + rng.below(12));
+        let page = rng.below(CHAOS_PAGES as u64 * 2) as usize;
         match mechanism::evict_to_bulk(&mut w, uid, page) {
             Ok(()) => {
                 // A real resident page got evicted — possibly the wrong
@@ -258,16 +256,16 @@ pub fn chaos_split(seed: u64, rounds: u32) -> ChaosOutcome {
                 out.suboptimal += 1;
                 // Keep the system live: reload something if space allows.
                 if w.nr_free_frames() > 0 && !usage.is_empty() {
-                    let v = usage[rng.gen_range(0..usage.len())];
+                    let v = usage[rng.below(usage.len() as u64) as usize];
                     let _ = mechanism::load_page(&mut w, v.uid, v.page);
                 }
             }
             Err(_) => out.refused += 1,
         }
         // Occasionally also garble a bulk→disk request.
-        if rng.gen_bool(0.3) {
+        if rng.unit_f64() < 0.3 {
             let addr = mks_vm::PageAddr {
-                uid: SegUid(95 + rng.gen_range(0..12)),
+                uid: SegUid(95 + rng.below(12)),
                 page,
             };
             if mechanism::evict_bulk_to_disk(&mut w, addr).is_err() {
@@ -285,25 +283,25 @@ pub fn chaos_split(seed: u64, rounds: u32) -> ChaosOutcome {
 /// executing *in ring 0 with mechanism powers* — its stray decisions act
 /// directly on frames (wild stores, frame-to-frame copies), as a buggy
 /// privileged policy's would.
-pub fn chaos_monolithic(seed: u64, rounds: u32) -> ChaosOutcome {
-    let mut rng = StdRng::seed_from_u64(seed);
+pub(crate) fn chaos_monolithic(seed: u64, rounds: u32) -> ChaosOutcome {
+    let mut rng = SplitMix64::new(seed);
     let mut w = chaos_world(8);
     let mut out = ChaosOutcome::default();
     let nr_frames = w.machine.mem.nr_frames();
     for _ in 0..rounds {
         // The same garbled decision stream…
-        let roll: f64 = rng.gen();
+        let roll = rng.unit_f64();
         if roll < 0.5 {
             // …but a wrong victim here means manipulating the core map and
             // frames directly; a stray index becomes a wild store.
-            let frame = mks_hw::FrameId(rng.gen_range(0..nr_frames as u32));
-            let off = rng.gen_range(0..PAGE_WORDS);
-            w.machine.mem.write(frame, off, Word::new(rng.gen::<u64>()));
+            let frame = mks_hw::FrameId(rng.below(nr_frames as u64) as u32);
+            let off = rng.below(PAGE_WORDS as u64) as usize;
+            w.machine.mem.write(frame, off, Word::new(rng.next_u64()));
         } else if roll < 0.7 {
             // A mixed-up "move": one frame copied over another, carrying
             // one segment's data into another's page.
-            let a = mks_hw::FrameId(rng.gen_range(0..nr_frames as u32));
-            let b = mks_hw::FrameId(rng.gen_range(0..nr_frames as u32));
+            let a = mks_hw::FrameId(rng.below(nr_frames as u64) as u32);
+            let b = mks_hw::FrameId(rng.below(nr_frames as u64) as u32);
             let data = w.machine.mem.export_frame(a);
             w.machine.mem.import_frame(b, data);
         } else {

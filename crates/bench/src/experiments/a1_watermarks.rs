@@ -41,17 +41,17 @@ pub struct Measurement {
 
 impl Measurement {
     /// Tightest setting (first of the sweep).
-    pub fn tightest(&self) -> &SweepPoint {
+    fn tightest(&self) -> &SweepPoint {
         &self.sweep[0]
     }
 
     /// Loosest setting (last of the sweep).
-    pub fn loosest(&self) -> &SweepPoint {
+    fn loosest(&self) -> &SweepPoint {
         self.sweep.last().expect("sweep is non-empty")
     }
 
     /// Max fault-path steps across every setting.
-    pub fn max_path_steps(&self) -> u32 {
+    fn max_path_steps(&self) -> u32 {
         self.sweep
             .iter()
             .map(|p| p.stats.fault_path_steps_max)
@@ -60,7 +60,7 @@ impl Measurement {
     }
 
     /// Re-fetch ratio at one setting: faults / distinct pages.
-    pub fn refetch_ratio(&self, p: &SweepPoint) -> f64 {
+    fn refetch_ratio(&self, p: &SweepPoint) -> f64 {
         p.stats.faults as f64 / self.distinct_pages as f64
     }
 }

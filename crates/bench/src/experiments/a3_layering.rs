@@ -44,12 +44,12 @@ pub struct Measurement {
 
 impl Measurement {
     /// Properties whose layered scope is the whole kernel.
-    pub fn whole_kernel_properties(&self) -> usize {
+    fn whole_kernel_properties(&self) -> usize {
         self.scopes.iter().filter(|s| s.layered >= s.flat).count()
     }
 
     /// Properties whose scope exceeds complete mediation's.
-    pub fn wider_than_mediation(&self) -> usize {
+    fn wider_than_mediation(&self) -> usize {
         let mediation = self
             .scopes
             .iter()

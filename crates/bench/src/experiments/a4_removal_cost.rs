@@ -42,7 +42,7 @@ pub struct CostRow {
 
 impl CostRow {
     /// Extra cycles per initiation the removal costs on this machine.
-    pub fn overhead_cycles(&self) -> u64 {
+    fn overhead_cycles(&self) -> u64 {
         self.kernel_cycles.saturating_sub(self.legacy_cycles)
     }
 }
@@ -63,12 +63,12 @@ impl Measurement {
     }
 
     /// Deepest-path row on the 645.
-    pub fn deep_645(&self) -> &CostRow {
+    fn deep_645(&self) -> &CostRow {
         self.at(6, CpuModel::H645)
     }
 
     /// Deepest-path row on the 6180.
-    pub fn deep_6180(&self) -> &CostRow {
+    fn deep_6180(&self) -> &CostRow {
         self.at(6, CpuModel::H6180)
     }
 }

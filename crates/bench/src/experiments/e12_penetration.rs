@@ -28,7 +28,7 @@ pub struct Measurement {
 
 impl Measurement {
     /// Breach inversions along the ladder (rungs where breaches rise).
-    pub fn ladder_inversions(&self) -> usize {
+    fn ladder_inversions(&self) -> usize {
         self.ladder.windows(2).filter(|w| w[1].1 > w[0].1).count()
     }
 }

@@ -9,8 +9,7 @@ use std::fmt::Write;
 
 use mks_cert::kernel_modules::KERNEL_SOURCES;
 use mks_cert::{compile, parse_program, validate, Op, Verdict};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use mks_hw::SplitMix64;
 
 use super::ExperimentOutput;
 use crate::claims::{ClaimResult, ClaimShape};
@@ -56,19 +55,19 @@ impl Measurement {
     }
 
     /// Mutation-campaign kill fraction.
-    pub fn kill_rate(&self) -> f64 {
+    fn kill_rate(&self) -> f64 {
         self.killed as f64 / (self.killed + self.survived) as f64
     }
 }
 
 /// Applies one random mutation to the object code (a compiler-bug model).
-fn mutate(code: &mut [Op], rng: &mut StdRng) {
-    let i = rng.gen_range(0..code.len());
-    code[i] = match rng.gen_range(0..6) {
-        0 => Op::Push(rng.gen_range(-9..9)),
-        1 => Op::Load(rng.gen_range(0..4)),
-        2 => Op::Store(rng.gen_range(0..4)),
-        3 => Op::Jmp(rng.gen_range(0..(code.len() as u32 + 8))),
+fn mutate(code: &mut [Op], rng: &mut SplitMix64) {
+    let i = rng.below(code.len() as u64) as usize;
+    code[i] = match rng.below(6) {
+        0 => Op::Push(rng.below(18) as i64 - 9),
+        1 => Op::Load(rng.below(4) as u16),
+        2 => Op::Store(rng.below(4) as u16),
+        3 => Op::Jmp(rng.below(code.len() as u64 + 8) as u32),
         4 => match code[i] {
             Op::Add => Op::Sub,
             Op::Sub => Op::Add,
@@ -110,13 +109,13 @@ pub fn measure() -> Measurement {
 
     // Mutation campaign: a buggy "compiler" whose output differs by one
     // operation must be caught.
-    let mut rng = StdRng::seed_from_u64(0xC0DE);
+    let mut rng = SplitMix64::new(0xC0DE);
     let mut killed = 0;
     let mut survived = 0;
     let mut killed_by_static = 0;
     const MUTANTS: usize = 1_000;
     for _ in 0..MUTANTS {
-        let (src, obj) = &all_procs[rng.gen_range(0..all_procs.len())];
+        let (src, obj) = &all_procs[rng.below(all_procs.len() as u64) as usize];
         let mut bad = obj.clone();
         mutate(&mut bad.code, &mut rng);
         if bad.code == obj.code {

@@ -77,25 +77,25 @@ impl Measurement {
     }
 
     /// Protected-weight shrink factor, legacy / kernel.
-    pub fn protected_shrink(&self) -> f64 {
+    fn protected_shrink(&self) -> f64 {
         self.legacy().protected as f64 / self.kernel().protected as f64
     }
 
     /// Fraction of the user-callable surface the kernel config cut.
-    pub fn surface_cut(&self) -> f64 {
+    fn surface_cut(&self) -> f64 {
         (self.legacy().user_gates - self.kernel().user_gates) as f64
             / self.legacy().user_gates as f64
     }
 
     /// Moved function / net protected shrink (≥ 1 because the kernel also
     /// *adds* protected code the legacy system never had, e.g. MLS).
-    pub fn conservation_ratio(&self) -> f64 {
+    fn conservation_ratio(&self) -> f64 {
         self.kernel().unprotected as f64
             / (self.legacy().protected - self.kernel().protected) as f64
     }
 
     /// The MLS layer's protected weight (a new bottom layer).
-    pub fn mls_weight(&self) -> u32 {
+    fn mls_weight(&self) -> u32 {
         self.categories
             .iter()
             .find(|c| c.label == Category::Mls.label())

@@ -30,7 +30,7 @@ impl Measurement {
     }
 
     /// The cut as a fraction of the legacy surface.
-    pub fn cut_fraction(&self) -> f64 {
+    fn cut_fraction(&self) -> f64 {
         self.cut() as f64 / self.legacy_entries as f64
     }
 }

@@ -13,7 +13,8 @@ use crate::report::{banner, Table};
 const QUOTE: &str = "a reduction by a factor of ten in the size of the protected code needed to manage the address space";
 
 /// Honest-gap note shared by the report and the claim record.
-pub const GAP_NOTE: &str = "our legacy KST is a compact Rust reimplementation of Bratt's PL/I \
+pub(crate) const GAP_NOTE: &str =
+    "our legacy KST is a compact Rust reimplementation of Bratt's PL/I \
 original, which carried far more error-handling and bookkeeping text per function; the measured \
 shrink is severalfold, not 10x, while the direction, the 23->4 entry-point collapse, and the \
 function's move to the user ring all reproduce";
@@ -40,12 +41,12 @@ pub struct Measurement {
 
 impl Measurement {
     /// Protected-code shrink factor (legacy / kernel).
-    pub fn shrink_factor(&self) -> f64 {
+    fn shrink_factor(&self) -> f64 {
         self.legacy.protected as f64 / self.kernel.protected as f64
     }
 
     /// Entry-point shrink factor (legacy / kernel naming gates).
-    pub fn gate_factor(&self) -> f64 {
+    fn gate_factor(&self) -> f64 {
         self.legacy.gates as f64 / self.kernel.gates as f64
     }
 }

@@ -13,7 +13,8 @@ use crate::report::{banner, Table};
 const QUOTE: &str = "the linker and reference name removal projects together reduce the number of user-available supervisor entries by approximately one third";
 
 /// Honest-gap note shared by the report and the claim record.
-pub const GAP_NOTE: &str = "the two removals cut 29% of the user-available surface against the \
+pub(crate) const GAP_NOTE: &str =
+    "the two removals cut 29% of the user-available surface against the \
 paper's ~33%; the census is entry-exact, so the shortfall is a property of the reproduced gate \
 population (our legacy census carries proportionally more file-system entries), not of drift";
 
@@ -35,7 +36,7 @@ pub struct Measurement {
 
 impl Measurement {
     /// The fraction of the legacy surface the two removals cut.
-    pub fn both_removals_fraction(&self) -> f64 {
+    fn both_removals_fraction(&self) -> f64 {
         let base = self.ladder[0].entries as f64;
         (base - self.ladder[2].entries as f64) / base
     }

@@ -44,7 +44,7 @@ impl Measurement {
     }
 
     /// Max fault-path steps the parallel design ever took, any pressure.
-    pub fn parallel_max_steps(&self) -> u32 {
+    fn parallel_max_steps(&self) -> u32 {
         self.sweep
             .iter()
             .map(|p| p.parallel.fault_path_steps_max)

@@ -7,11 +7,9 @@
 
 use std::fmt::Write;
 
-use mks_hw::{CpuModel, Machine};
+use mks_hw::{CpuModel, Machine, SplitMix64};
 use mks_io::interrupts::{InSituInterrupts, Irq, ProcessInterrupts};
 use mks_procs::{Effects, EventId, FnJob, SchedMode, Step, TcConfig, TrafficController};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use super::ExperimentOutput;
 use crate::claims::{ClaimResult, ClaimShape};
@@ -53,9 +51,9 @@ pub struct Measurement {
 }
 
 fn irq_stream(seed: u64) -> Vec<Irq> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed);
     (0..STORM)
-        .map(|_| match rng.gen_range(0..6) {
+        .map(|_| match rng.below(6) {
             0 => Irq::Tty,
             1 => Irq::Tape,
             2 => Irq::CardReader,
@@ -80,11 +78,11 @@ pub fn measure() -> Measurement {
             }),
         );
     }
-    let mut rng = StdRng::seed_from_u64(3);
+    let mut rng = SplitMix64::new(3);
     for irq in irq_stream(1) {
         // The interrupted process is almost never the one the device
         // concerns: model 15/16 victims as unrelated.
-        insitu.take_interrupt(&mut m, irq, rng.gen_range(0..16) != 0);
+        insitu.take_interrupt(&mut m, irq, rng.below(16) != 0);
     }
     let insitu_stats = insitu.stats();
     let insitu_cycles = m.clock.now();

@@ -7,9 +7,8 @@
 
 use std::fmt::Write;
 
+use mks_hw::SplitMix64;
 use mks_io::{CircularBuffer, InfiniteBuffer};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use super::ExperimentOutput;
 use crate::claims::{ClaimResult, ClaimShape};
@@ -44,7 +43,7 @@ pub struct Measurement {
 
 impl Measurement {
     /// Total messages the infinite buffer lost, any burst size.
-    pub fn infinite_lost_total(&self) -> u64 {
+    fn infinite_lost_total(&self) -> u64 {
         self.rows.iter().map(|r| r.lost_infinite).sum()
     }
 
@@ -59,11 +58,11 @@ impl Measurement {
 /// only burstiness varies — the historical failure was exactly this case,
 /// a burst lapping the ring before the consumer's next quantum.
 fn drive_circular(capacity: usize, burst: usize, bursts: usize, seed: u64) -> (u64, u64) {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed);
     let mut buf: CircularBuffer<u64> = CircularBuffer::new(capacity);
     let mut n = 0u64;
     for _ in 0..bursts {
-        let size = rng.gen_range(1..=burst);
+        let size = 1 + rng.below(burst as u64) as usize;
         for _ in 0..size {
             buf.push(n);
             n += 1;
@@ -77,12 +76,12 @@ fn drive_circular(capacity: usize, burst: usize, bursts: usize, seed: u64) -> (u
 }
 
 fn drive_infinite(burst: usize, bursts: usize, seed: u64) -> (u64, u64, usize) {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed);
     let mut buf: InfiniteBuffer<u64> = InfiniteBuffer::new();
     let mut n = 0u64;
     let mut peak = 0usize;
     for _ in 0..bursts {
-        let size = rng.gen_range(1..=burst);
+        let size = 1 + rng.below(burst as u64) as usize;
         for _ in 0..size {
             buf.push(n, 4);
             n += 1;

@@ -75,7 +75,7 @@ impl Table {
 /// Renders the per-layer cycle breakdown of a flight-recorder snapshot:
 /// for each layer, completed spans, inclusive cycles, exclusive cycles,
 /// and the layer's share of all exclusive time ("where the cycles go").
-pub fn layer_breakdown(snap: &Snapshot) -> Table {
+pub(crate) fn layer_breakdown(snap: &Snapshot) -> Table {
     let total_excl: u64 = snap.layers.iter().map(|l| l.exclusive).sum();
     let mut t = Table::new(&[
         "layer",
@@ -120,7 +120,7 @@ pub fn write_result(name: &str, contents: &str) -> std::io::Result<std::path::Pa
 }
 
 /// Renders a section banner naming the experiment and the paper's claim.
-pub fn banner(experiment: &str, claim: &str) -> String {
+pub(crate) fn banner(experiment: &str, claim: &str) -> String {
     let rule = "=".repeat(72);
     format!("{rule}\n{experiment}\npaper: {claim}\n{rule}\n")
 }

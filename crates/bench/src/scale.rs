@@ -43,7 +43,7 @@ use mks_kernel::{AuditEvent, KProcId, KernelConfig, Monitor};
 use mks_mls::{Compartments, Label, Level};
 
 /// The population rungs the scale experiment climbs: 10^3 → 10^6.
-pub const RUNGS: &[u64] = &[1_000, 10_000, 100_000, 1_000_000];
+pub(crate) const RUNGS: &[u64] = &[1_000, 10_000, 100_000, 1_000_000];
 
 /// Live sessions the traffic driver keeps at once.
 pub const MAX_SESSIONS: usize = 32;
@@ -95,12 +95,12 @@ impl PopulationModel {
     }
 
     /// Members of project `k`.
-    pub fn project_size(&self, k: usize) -> u64 {
+    fn project_size(&self, k: usize) -> u64 {
         self.starts[k + 1] - self.starts[k]
     }
 
     /// Members of the largest project.
-    pub fn largest_project(&self) -> u64 {
+    pub(crate) fn largest_project(&self) -> u64 {
         (0..self.nr_projects())
             .map(|k| self.project_size(k))
             .max()
@@ -766,7 +766,7 @@ pub struct RungMeasurement {
 
 /// Runs one rung: build the population's world, drive `target_ops` of
 /// traffic, then measure work-units and run the sampled differentials.
-pub fn run_rung(population: u64, seed: u64, target_ops: u64) -> RungMeasurement {
+pub(crate) fn run_rung(population: u64, seed: u64, target_ops: u64) -> RungMeasurement {
     let model = PopulationModel::new(population, seed);
     let mut sw = build_world(&model);
     sw.sys.world.fs.reset_lookup_work();

@@ -41,7 +41,8 @@ pub enum Verdict {
 
 impl Verdict {
     /// True for [`Verdict::Certified`].
-    pub fn is_certified(&self) -> bool {
+    #[cfg(test)]
+    fn is_certified(&self) -> bool {
         matches!(self, Verdict::Certified { .. })
     }
 }

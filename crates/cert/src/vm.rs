@@ -177,7 +177,7 @@ fn new_frame(procs: &[Program], proc_idx: usize, args: &[i64]) -> Result<Frame, 
 }
 
 /// Runs procedure `proc_idx` of a procedure set with full call support.
-pub fn run_procs(
+fn run_procs(
     procs: &[Program],
     links: &[(String, String)],
     proc_idx: usize,
@@ -301,7 +301,7 @@ pub fn run(prog: &Program, args: &[i64], fuel: u64) -> Result<i64, ExecError> {
 // --- the word codec ------------------------------------------------------
 
 /// Magic word identifying a KPL module image.
-pub const MODULE_MAGIC: u64 = 0o515;
+const MODULE_MAGIC: u64 = 0o515;
 
 fn op_to_pair(op: Op) -> Result<(u64, u64), ExecError> {
     // Zigzag for the signed push operand; 36 bits available.

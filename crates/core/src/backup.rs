@@ -205,12 +205,14 @@ fn dump_dir(
 /// equivalence a dump/restore cycle preserves. Two worlds with equal
 /// hierarchy digests hold the same protected information under the
 /// same labels and ACLs, whatever uids and residency they use.
-pub fn hierarchy_digest(fs: &FileSystem, vm: &mut VmWorld, dir: SegUid) -> u64 {
+#[cfg(test)]
+fn hierarchy_digest(fs: &FileSystem, vm: &mut VmWorld, dir: SegUid) -> u64 {
     let mut canon = String::new();
     digest_dir(fs, vm, dir, "", &mut canon);
     mks_hw::fnv64(canon.as_bytes())
 }
 
+#[cfg(test)]
 fn digest_dir(fs: &FileSystem, vm: &mut VmWorld, dir: SegUid, prefix: &str, out: &mut String) {
     let mut names = fs.child_names(dir);
     names.sort();

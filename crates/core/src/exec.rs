@@ -113,11 +113,7 @@ pub fn install_module(
 
 /// Reads and decodes the module stored at `segno`, enforcing the execute
 /// mode bit (programs are *executed*, not just read).
-pub fn load_module(
-    world: &mut KernelWorld,
-    pid: KProcId,
-    segno: SegNo,
-) -> Result<Module, ExecFault> {
+fn load_module(world: &mut KernelWorld, pid: KProcId, segno: SegNo) -> Result<Module, ExecFault> {
     let executable = world
         .proc(pid)
         .aspace

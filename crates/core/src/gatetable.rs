@@ -21,7 +21,7 @@ use crate::config::{IoConfig, KernelConfig, LinkerConfig, NamingConfig};
 
 /// File-system gates common to every configuration: branch manipulation,
 /// status, ACLs, quotas, attributes.
-pub const FS_GATES: &[&str] = &[
+pub(crate) const FS_GATES: &[&str] = &[
     "append_branch",
     "append_branchx",
     "create_branch_",
@@ -91,7 +91,7 @@ pub const NAMING_GATES_KERNEL: &[&str] = &[
 ];
 
 /// Process and IPC gates (both configurations).
-pub const PROC_GATES: &[&str] = &[
+pub(crate) const PROC_GATES: &[&str] = &[
     "block",
     "wakeup",
     "get_usage",
@@ -106,7 +106,7 @@ pub const PROC_GATES: &[&str] = &[
 /// `metering_get` is the flight-recorder snapshot gate: a read-only view of
 /// the kernel's counters, histograms and recent spans. User rings may read
 /// the metering; nothing on this entry can reset or rewrite it.
-pub const MISC_GATES: &[&str] = &[
+const MISC_GATES: &[&str] = &[
     "get_time",
     "get_system_info",
     "set_alarm",
@@ -118,7 +118,7 @@ pub const MISC_GATES: &[&str] = &[
 
 /// Privileged (`hphcs_`) entries, callable only from ring 1 system
 /// processes — not part of the *user-available* census.
-pub const PRIVILEGED_GATES: &[&str] = &[
+const PRIVILEGED_GATES: &[&str] = &[
     "shutdown",
     "reconfigure",
     "set_kst_attributes",

@@ -72,7 +72,7 @@ impl Property {
     /// **given the layered structure** (MLS at the bottom, policy split
     /// out, naming/linker outside). This encodes the design decisions; the
     /// scope numbers are then measured from the audited inventory.
-    pub fn layered_scope(self) -> &'static [Category] {
+    fn layered_scope(self) -> &'static [Category] {
         match self {
             // The bottom layer: labels checked before anything else, so
             // only the MLS module and the monitor that calls it matter.

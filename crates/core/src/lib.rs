@@ -35,16 +35,23 @@
 //! * [`subsystem`] — protected-subsystem entry, and the login unification
 //!   that makes the authentication machinery non-privileged;
 //! * [`init`] — incremental bootstrap vs pre-initialized memory image (E11);
-//! * [`flaws`] — the review activity's flaw registry;
 //! * [`penetration`] — the Linde-style attack catalog run against both
-//!   configurations (E12).
+//!   configurations (E12), this reproduction's *review* activity;
+//! * [`syslog`] — the kernel audit log;
+//! * [`exec`] — running programs out of segments;
+//! * [`backup`] — dumping the hierarchy to tape and restoring it;
+//! * [`layers`] — structuring the kernel for certification (A3);
+//! * [`pressure`] — pressure gauges and admission control (E16);
+//! * [`recovery`] — the crash-recovery harness (E15);
+//! * [`par`] — host-parallel execution of independent kernel lanes (E19);
+//! * [`statemachine`] — the commit log, replay and its wire encoding (E20);
+//! * [`replicate`] — primary/backup failover over the commit log (E21).
 
 pub mod audit;
 pub mod auth;
 pub mod backup;
 pub mod config;
 pub mod exec;
-pub mod flaws;
 pub mod gatetable;
 pub mod init;
 pub mod layers;

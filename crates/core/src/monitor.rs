@@ -20,7 +20,6 @@ use std::fmt::{Display, Write as _};
 use mks_fs::kst::kernel_initiate_dir;
 use mks_fs::pathres::{parse_path, DirInitiator};
 use mks_fs::{Acl, AclMode, BranchKind, FsError, LegacyKstError, QuotaCell, QuotaError};
-use mks_hw::ast::PageState;
 use mks_hw::{
     AccessType, Backoff, BackoffPolicy, Cycles, Fault, RingBrackets, SegNo, SegUid, Word,
 };
@@ -484,7 +483,7 @@ impl Monitor {
                 // User-ring loop: resolve the containing directory by
                 // repeated initiate_dir calls, then one initiate.
                 let comps = parse_path(path).map_err(|_| AccessError::BadPath)?;
-                let (leaf, dirs) = comps.split_last().expect("non-empty");
+                let (leaf, dirs) = comps.split_last().ok_or(AccessError::BadPath)?;
                 let mut dir = world.bind_root(pid);
                 for c in dirs {
                     dir = Self::initiate_dir(world, pid, dir, c);
@@ -529,7 +528,7 @@ impl Monitor {
         // The legacy supervisor still applies ACL/MLS before
         // installing the SDW.
         let comps = parse_path(path).map_err(|_| AccessError::BadPath)?;
-        let (leaf, dirs) = comps.split_last().expect("non-empty");
+        let (leaf, dirs) = comps.split_last().ok_or(AccessError::BadPath)?;
         let mut dir_uid = mks_fs::FileSystem::ROOT;
         for c in dirs {
             dir_uid = world
@@ -596,35 +595,10 @@ impl Monitor {
         }
     }
 
-    /// Gate `quota_get`: the cell governing the directory bound at
-    /// `dir_segno` (requires status on that directory).
-    pub fn quota_get(
-        world: &mut KernelWorld,
-        pid: KProcId,
-        dir_segno: SegNo,
-    ) -> Result<QuotaCell, AccessError> {
-        Self::admit(world, pid, "quota_get")?;
-        let _op = Self::op_span(world, pid, MonitorOp::QuotaGet);
-        let dir_uid = Self::real_dir(world, pid, dir_segno)?;
-        if !world
-            .fs
-            .dir_access(dir_uid, &world.proc(pid).user)
-            .map_err(AccessError::Fs)?
-            .status
-        {
-            return Err(AccessError::NoInfo);
-        }
-        let account = Self::quota_account(world, dir_uid).ok_or(AccessError::NoInfo)?;
-        match world.fs.quota_cell(account) {
-            Ok(Some(q)) => Ok(q),
-            _ => Err(AccessError::NoInfo),
-        }
-    }
-
     /// Gate `quota_move`: carve a quota cell of `limit_pages` onto the
     /// directory bound at `dir_segno`, taking the limit from its governing
     /// ancestor cell. Requires `m` on the directory.
-    pub fn set_quota(
+    pub(crate) fn set_quota(
         world: &mut KernelWorld,
         pid: KProcId,
         dir_segno: SegNo,
@@ -1114,10 +1088,39 @@ impl Monitor {
         snap.repl = world.repl_status.clone();
         Ok(snap.to_json())
     }
+}
+
+#[cfg(test)]
+impl Monitor {
+    /// Gate `quota_get`: the cell governing the directory bound at
+    /// `dir_segno` (requires status on that directory).
+    fn quota_get(
+        world: &mut KernelWorld,
+        pid: KProcId,
+        dir_segno: SegNo,
+    ) -> Result<QuotaCell, AccessError> {
+        Self::admit(world, pid, "quota_get")?;
+        let _op = Self::op_span(world, pid, MonitorOp::QuotaGet);
+        let dir_uid = Self::real_dir(world, pid, dir_segno)?;
+        if !world
+            .fs
+            .dir_access(dir_uid, &world.proc(pid).user)
+            .map_err(AccessError::Fs)?
+            .status
+        {
+            return Err(AccessError::NoInfo);
+        }
+        let account = Self::quota_account(world, dir_uid).ok_or(AccessError::NoInfo)?;
+        match world.fs.quota_cell(account) {
+            Ok(Some(q)) => Ok(q),
+            _ => Err(AccessError::NoInfo),
+        }
+    }
 
     /// True if the page of `(segno, offset)` is resident for `pid` —
     /// a test/experiment observer, not a gate.
-    pub fn is_resident(world: &KernelWorld, pid: KProcId, segno: SegNo, offset: usize) -> bool {
+    fn is_resident(world: &KernelWorld, pid: KProcId, segno: SegNo, offset: usize) -> bool {
+        use mks_hw::ast::PageState;
         let proc = world.proc(pid);
         let Some(sdw) = proc.aspace.get(segno) else {
             return false;

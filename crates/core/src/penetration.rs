@@ -44,7 +44,7 @@ pub enum AttackOutcome {
 
 impl AttackOutcome {
     /// True if the system lost.
-    pub fn is_breach(&self) -> bool {
+    fn is_breach(&self) -> bool {
         matches!(self, AttackOutcome::Breach(_))
     }
 }

@@ -101,7 +101,7 @@ pub enum Resource {
 }
 
 /// Number of tracked [`Resource`]s.
-pub const NR_RESOURCES: usize = 5;
+const NR_RESOURCES: usize = 5;
 
 impl Resource {
     /// Every resource, in discriminant order.
@@ -127,7 +127,7 @@ impl Resource {
     /// The flight-recorder gauge name (`pressure.<resource>`), published
     /// as histogram observations so `hcs_$metering_get` exports the
     /// distribution.
-    pub fn gauge_name(self) -> &'static str {
+    pub(crate) fn gauge_name(self) -> &'static str {
         match self {
             Resource::Frames => "pressure.frames",
             Resource::AstSlots => "pressure.ast_slots",
@@ -170,18 +170,7 @@ impl PressureReading {
     /// The peak pressure across all resources — the number admission
     /// decisions are made on.
     pub fn peak(&self) -> u32 {
-        *self.permille.iter().max().expect("non-empty")
-    }
-
-    /// The resource at peak pressure (first of equals in
-    /// [`Resource::ALL`] order).
-    pub fn dominant(&self) -> Resource {
-        let peak = self.peak();
-        Resource::ALL[self
-            .permille
-            .iter()
-            .position(|p| *p == peak)
-            .expect("peak exists")]
+        self.permille.iter().copied().fold(0, u32::max)
     }
 }
 
@@ -291,7 +280,7 @@ impl AdmissionControl {
     }
 
     /// True when the layer is armed.
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.enabled
     }
 
@@ -302,7 +291,7 @@ impl AdmissionControl {
     }
 
     /// The class `pid`'s gate calls are admitted under.
-    pub fn priority_of(&self, pid: KProcId) -> Priority {
+    pub(crate) fn priority_of(&self, pid: KProcId) -> Priority {
         self.priorities
             .get(&pid)
             .copied()
@@ -333,21 +322,14 @@ impl AdmissionControl {
         admitted
     }
 
-    /// Every decision since the last [`AdmissionControl::reset_decisions`].
+    /// Every admission decision, oldest first.
     pub fn decisions(&self) -> &[AdmissionDecision] {
         &self.decisions
     }
 
-    /// Clears the decision log and per-class tallies (gauge feeds and
-    /// priorities survive). Used between load-ladder rungs.
-    pub fn reset_decisions(&mut self) {
-        self.decisions.clear();
-        self.admitted_by_class = [0; NR_PRIORITIES];
-        self.shed_by_class = [0; NR_PRIORITIES];
-    }
-
     /// Admitted calls per class, indexed by [`Priority::index`].
-    pub fn admitted_by_class(&self) -> [u64; NR_PRIORITIES] {
+    #[cfg(test)]
+    fn admitted_by_class(&self) -> [u64; NR_PRIORITIES] {
         self.admitted_by_class
     }
 

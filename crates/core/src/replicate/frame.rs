@@ -19,7 +19,7 @@ use crate::statemachine::wire::{
 use crate::statemachine::SealedCommit;
 
 /// Magic prefix of an encoded replication frame.
-pub const FRAME_MAGIC: [u8; 4] = *b"MKRF";
+const FRAME_MAGIC: [u8; 4] = *b"MKRF";
 
 /// One replication message between two replicas.
 #[derive(Clone, PartialEq, Debug)]

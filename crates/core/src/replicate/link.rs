@@ -130,7 +130,7 @@ impl Link {
 
     /// Removes and returns every frame due at or before `now`, in
     /// deterministic `(deliver_at, send order)` order.
-    pub fn deliver_due(&mut self, now: u64) -> Vec<(u32, Vec<u8>)> {
+    pub(crate) fn deliver_due(&mut self, now: u64) -> Vec<(u32, Vec<u8>)> {
         let mut due: Vec<InFlight> = Vec::new();
         let mut rest: Vec<InFlight> = Vec::new();
         for f in self.queue.drain(..) {
@@ -147,7 +147,7 @@ impl Link {
     }
 
     /// Frames still in flight.
-    pub fn in_flight(&self) -> usize {
+    pub(crate) fn in_flight(&self) -> usize {
         self.queue.len()
     }
 }

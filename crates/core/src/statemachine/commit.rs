@@ -219,7 +219,7 @@ impl Commit {
     /// refuses a commit whose acting process is unknown — a log under
     /// replay is external data (possibly a mutation arm's), so a
     /// dangling pid must produce a deterministic verdict, not a panic.
-    pub fn acting_pid(&self) -> Option<KProcId> {
+    pub(crate) fn acting_pid(&self) -> Option<KProcId> {
         match self {
             Commit::BindRoot { pid }
             | Commit::Initiate { pid, .. }
@@ -488,7 +488,7 @@ impl CommitLog {
     /// tampering primitive behind the mutation arms. The result passes
     /// [`CommitLog::verify`] by construction, so only the replay
     /// differential can catch it.
-    pub fn resealed(&self, transform: impl FnOnce(&mut Vec<Commit>)) -> CommitLog {
+    pub(crate) fn resealed(&self, transform: impl FnOnce(&mut Vec<Commit>)) -> CommitLog {
         let mut commits: Vec<Commit> = self.entries.iter().map(|s| s.commit.clone()).collect();
         transform(&mut commits);
         let mut out = CommitLog::new();

@@ -349,7 +349,7 @@ impl KernelStateMachine {
     /// the raw trace snapshot folded into [`StateDigest::metrics_digest`]
     /// never carries it, so publishing different vantage points on
     /// different replicas cannot make their digests diverge.
-    pub fn set_repl_status(&mut self, status: Option<mks_trace::ReplSnapshot>) {
+    pub(crate) fn set_repl_status(&mut self, status: Option<mks_trace::ReplSnapshot>) {
         self.world_mut().repl_status = status;
     }
 
@@ -440,7 +440,7 @@ pub struct StateDigest {
 impl StateDigest {
     /// Field-by-field comparison, returning `(field, self, other)` for
     /// every divergence.
-    pub fn diff(&self, other: &StateDigest) -> Vec<(&'static str, u64, u64)> {
+    pub(crate) fn diff(&self, other: &StateDigest) -> Vec<(&'static str, u64, u64)> {
         let pairs = [
             ("seq", self.seq, other.seq),
             ("clock", self.clock, other.clock),

@@ -51,7 +51,7 @@ impl<'a> TimeTravel<'a> {
     /// if the run produced it. Audit counts are monotone across
     /// boundaries; the first boundary that has seen past `audit_seq`
     /// names the commit.
-    pub fn commit_for_audit(&self, audit_seq: u64) -> Option<u64> {
+    fn commit_for_audit(&self, audit_seq: u64) -> Option<u64> {
         let k = self
             .boundaries
             .partition_point(|b| b.audit_records <= audit_seq);

@@ -44,22 +44,22 @@ use crate::syslog::AuditEvent;
 use crate::world::KProcId;
 
 /// Magic prefix of an encoded [`CommitLog`].
-pub const LOG_MAGIC: [u8; 4] = *b"MKCL";
+const LOG_MAGIC: [u8; 4] = *b"MKCL";
 /// Magic prefix of an encoded [`MachineSnapshot`].
-pub const SNAP_MAGIC: [u8; 4] = *b"MKSN";
+const SNAP_MAGIC: [u8; 4] = *b"MKSN";
 /// Codec version, bumped on any layout change. Version 2 made the wire
 /// bytes the seal's input (version 1 sealed a `Debug` rendering), so a
 /// log sealed under the old definition is refused as
 /// [`WireError::BadVersion`] instead of failing its chain.
-pub const WIRE_VERSION: u16 = 2;
+pub(crate) const WIRE_VERSION: u16 = 2;
 
 /// Longest string the decoder will accept (names, patterns, audit
 /// details). Far above anything the kernel produces; a length field
 /// beyond it is treated as corruption, not as an allocation request.
-pub const MAX_STR: u64 = 1 << 12;
+const MAX_STR: u64 = 1 << 12;
 /// Most elements the decoder will accept in one vector (log entries,
 /// ACL entries, fault events).
-pub const MAX_VEC: u64 = 1 << 20;
+const MAX_VEC: u64 = 1 << 20;
 
 /// Why a byte string was rejected. Every variant names the defect
 /// precisely enough to distinguish truncation from corruption from
@@ -172,43 +172,43 @@ impl Sink for Fnv64 {
 
 /// Appends one byte.
 #[inline]
-pub fn put_u8(buf: &mut impl Sink, v: u8) {
+pub(crate) fn put_u8(buf: &mut impl Sink, v: u8) {
     buf.put(&[v]);
 }
 
 /// Appends a little-endian `u16`.
 #[inline]
-pub fn put_u16(buf: &mut impl Sink, v: u16) {
+pub(crate) fn put_u16(buf: &mut impl Sink, v: u16) {
     buf.put(&v.to_le_bytes());
 }
 
 /// Appends a little-endian `u32`.
 #[inline]
-pub fn put_u32(buf: &mut impl Sink, v: u32) {
+pub(crate) fn put_u32(buf: &mut impl Sink, v: u32) {
     buf.put(&v.to_le_bytes());
 }
 
 /// Appends a little-endian `u64`.
 #[inline]
-pub fn put_u64(buf: &mut impl Sink, v: u64) {
+pub(crate) fn put_u64(buf: &mut impl Sink, v: u64) {
     buf.put(&v.to_le_bytes());
 }
 
 /// Appends a bool as one byte (0 or 1).
 #[inline]
-pub fn put_bool(buf: &mut impl Sink, v: bool) {
+fn put_bool(buf: &mut impl Sink, v: bool) {
     put_u8(buf, u8::from(v));
 }
 
 /// Appends a length-prefixed UTF-8 string (`u32` length, then bytes).
 #[inline]
-pub fn put_str(buf: &mut impl Sink, s: &str) {
+fn put_str(buf: &mut impl Sink, s: &str) {
     put_bytes(buf, s.as_bytes());
 }
 
 /// Appends length-prefixed raw bytes (`u32` length, then bytes).
 #[inline]
-pub fn put_bytes(buf: &mut impl Sink, b: &[u8]) {
+pub(crate) fn put_bytes(buf: &mut impl Sink, b: &[u8]) {
     put_u32(buf, b.len() as u32);
     buf.put(b);
 }
@@ -297,7 +297,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// Reads a vector length, enforcing [`MAX_VEC`].
-    pub fn vec_len(&mut self, what: &'static str) -> Result<u64, WireError> {
+    pub(crate) fn vec_len(&mut self, what: &'static str) -> Result<u64, WireError> {
         let len = u64::from(self.u32()?);
         if len > MAX_VEC {
             return Err(WireError::Oversize { what, len });
@@ -840,14 +840,14 @@ fn get_commit(cur: &mut Cursor<'_>) -> Result<Commit, WireError> {
 
 /// Appends one [`SealedCommit`] (seq, chain, payload) to `buf`. Exposed
 /// so the replication frame codec can embed seals without re-framing.
-pub fn put_sealed(buf: &mut impl Sink, s: &SealedCommit) {
+pub(crate) fn put_sealed(buf: &mut impl Sink, s: &SealedCommit) {
     put_u64(buf, s.seq);
     put_u64(buf, s.chain);
     put_commit(buf, &s.commit);
 }
 
 /// Reads one [`SealedCommit`] from `cur`.
-pub fn get_sealed(cur: &mut Cursor<'_>) -> Result<SealedCommit, WireError> {
+pub(crate) fn get_sealed(cur: &mut Cursor<'_>) -> Result<SealedCommit, WireError> {
     let seq = cur.u64()?;
     let chain = cur.u64()?;
     let commit = get_commit(cur)?;

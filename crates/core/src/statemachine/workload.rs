@@ -355,10 +355,10 @@ pub fn record_fault_run(genesis: &Genesis, spec: &WorkloadSpec) -> RecordedRun {
 
 /// Rungs of the recorded overload ladder: principals per rung, all
 /// hammering the same small machine under admission control.
-pub const LADDER_RUNGS: [u32; 4] = [2, 4, 8, 16];
+const LADDER_RUNGS: [u32; 4] = [2, 4, 8, 16];
 
 /// Operations each ladder principal issues per rung.
-pub const LADDER_OPS: u64 = 6;
+const LADDER_OPS: u64 = 6;
 
 /// Records the E16-shaped overload ladder as commits: admission armed
 /// up front, then for each rung a cohort of principals (priority

@@ -125,7 +125,7 @@ impl AuditLog {
     /// Returns the sequence number of the first record (the batch is
     /// `first..first + batch.len()`), or the current next-seq for an
     /// empty batch.
-    pub fn append_batch(
+    pub(crate) fn append_batch(
         &mut self,
         at: Cycles,
         batch: impl IntoIterator<Item = (Option<UserId>, AuditEvent)>,

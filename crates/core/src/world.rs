@@ -26,7 +26,6 @@ use mks_vm::{
 
 use crate::auth::AuthDb;
 use crate::config::KernelConfig;
-use crate::flaws::FlawRegistry;
 use crate::gatetable::GateTable;
 use crate::pressure::AdmissionControl;
 use crate::statemachine::CommitLog;
@@ -114,8 +113,6 @@ pub struct KernelWorld {
     pub interrupts: ProcessInterrupts,
     /// The shared, supervisor-resident linker (legacy configuration).
     pub legacy_linker: LegacyLinker,
-    /// The review activity's flaw registry.
-    pub flaws: FlawRegistry,
     /// The kernel audit log (append-only).
     pub log: AuditLog,
     /// Overload-resilience state: pressure tuning, per-process priority
@@ -217,7 +214,6 @@ impl System {
             net: NetworkAttachment::new(),
             interrupts: ProcessInterrupts::new(),
             legacy_linker: LegacyLinker::new(),
-            flaws: FlawRegistry::new(),
             log: AuditLog::new(),
             admission: AdmissionControl::disabled(),
             commits: CommitLog::new(),
@@ -274,7 +270,7 @@ impl KernelWorld {
     }
 
     /// Mutably borrows a process record.
-    pub fn proc_mut(&mut self, pid: KProcId) -> &mut ProcState {
+    pub(crate) fn proc_mut(&mut self, pid: KProcId) -> &mut ProcState {
         self.procs.get_mut(&pid).expect("unknown kernel process")
     }
 
@@ -282,7 +278,7 @@ impl KernelWorld {
     /// dispatcher uses this to refuse (rather than panic on) commits
     /// whose acting process does not exist — a log under replay is
     /// external data, so a dangling pid must be a typed verdict.
-    pub fn has_proc(&self, pid: KProcId) -> bool {
+    pub(crate) fn has_proc(&self, pid: KProcId) -> bool {
         self.procs.contains_key(&pid)
     }
 
@@ -292,7 +288,7 @@ impl KernelWorld {
     }
 
     /// Number of live processes.
-    pub fn nr_processes(&self) -> usize {
+    pub(crate) fn nr_processes(&self) -> usize {
         self.procs.len()
     }
 

@@ -59,7 +59,7 @@ pub struct Branch {
 
 impl Branch {
     /// Does this branch answer to `name`?
-    pub fn has_name(&self, name: &str) -> bool {
+    fn has_name(&self, name: &str) -> bool {
         self.names.iter().any(|n| n == name)
     }
 
@@ -325,7 +325,7 @@ impl FileSystem {
     }
 
     /// Allocates a fresh unique identifier.
-    pub fn alloc_uid(&mut self) -> SegUid {
+    pub(crate) fn alloc_uid(&mut self) -> SegUid {
         let uid = SegUid(self.next_uid);
         self.next_uid += 1;
         uid
@@ -486,7 +486,7 @@ impl FileSystem {
     }
 
     /// Mutable unchecked lookup (kernel internal).
-    pub fn peek_branch_mut(&mut self, dir: SegUid, name: &str) -> Option<&mut Branch> {
+    fn peek_branch_mut(&mut self, dir: SegUid, name: &str) -> Option<&mut Branch> {
         let node = self.nodes.get_mut(&dir)?;
         let (pos, probes) = node.find_name(name);
         self.lookups
@@ -550,42 +550,6 @@ impl FileSystem {
             self.uid_dir.remove(&uid);
         }
         Ok(self.dir_mut(dir)?.remove_branch(idx))
-    }
-
-    /// Adds an extra name to a branch. Requires `m` on the directory.
-    pub fn add_name(
-        &mut self,
-        dir: SegUid,
-        name: &str,
-        new_name: &str,
-        user: &UserId,
-    ) -> Result<(), FsError> {
-        self.require(dir, user, 'm')?;
-        let (taken, probes) = self.dir(dir)?.find_name(new_name);
-        self.note_lookup(probes);
-        if taken.is_some() {
-            return Err(FsError::NameTaken(new_name.into()));
-        }
-        let node = self.dir_mut(dir)?;
-        let (pos, _) = node.find_name(name);
-        let idx = pos.ok_or_else(|| FsError::NotFound(name.into()))?;
-        node.branches[idx].names.push(new_name.into());
-        node.name_index.entry(new_name.into()).or_insert(idx);
-        Ok(())
-    }
-
-    /// Removes a name from a branch (never its last). Requires `m`.
-    pub fn remove_name(&mut self, dir: SegUid, name: &str, user: &UserId) -> Result<(), FsError> {
-        self.require(dir, user, 'm')?;
-        let node = self.dir_mut(dir)?;
-        let (pos, _) = node.find_name(name);
-        let idx = pos.ok_or_else(|| FsError::NotFound(name.into()))?;
-        if node.branches[idx].names.len() == 1 {
-            return Err(FsError::LastName);
-        }
-        node.branches[idx].names.retain(|n| n != name);
-        node.reindex();
-        Ok(())
     }
 
     /// Replaces the ACL of a segment branch. Requires `m` on the directory.
@@ -655,23 +619,6 @@ impl FileSystem {
         }
     }
 
-    /// The caller's effective mode on the segment branch `name` in `dir`
-    /// (no directory permission needed: access to a segment is governed by
-    /// the segment's own ACL).
-    pub fn segment_access(
-        &self,
-        dir: SegUid,
-        name: &str,
-        user: &UserId,
-    ) -> Result<AclMode, FsError> {
-        self.trace_acl_check(user, format!("segment {name} in dir {}", dir.0));
-        let b = self.peek_branch(dir, name).ok_or(FsError::NoInfo)?;
-        match &b.kind {
-            BranchKind::Segment { acl, .. } => Ok(acl.effective(user).unwrap_or(AclMode::NULL)),
-            BranchKind::Directory { .. } => Err(FsError::WrongKind(name.into())),
-        }
-    }
-
     /// Total number of directories (for audits/tests).
     pub fn nr_directories(&self) -> usize {
         self.nodes.len()
@@ -699,6 +646,62 @@ impl FileSystem {
     /// Read-only quota cell of a directory (kernel internal).
     pub fn quota_cell(&self, dir: SegUid) -> Result<Option<QuotaCell>, FsError> {
         Ok(self.dir(dir)?.quota)
+    }
+}
+
+#[cfg(test)]
+impl FileSystem {
+    /// Adds an extra name to a branch. Requires `m` on the directory.
+    pub(crate) fn add_name(
+        &mut self,
+        dir: SegUid,
+        name: &str,
+        new_name: &str,
+        user: &UserId,
+    ) -> Result<(), FsError> {
+        self.require(dir, user, 'm')?;
+        let (taken, probes) = self.dir(dir)?.find_name(new_name);
+        self.note_lookup(probes);
+        if taken.is_some() {
+            return Err(FsError::NameTaken(new_name.into()));
+        }
+        let node = self.dir_mut(dir)?;
+        let (pos, _) = node.find_name(name);
+        let idx = pos.ok_or_else(|| FsError::NotFound(name.into()))?;
+        node.branches[idx].names.push(new_name.into());
+        node.name_index.entry(new_name.into()).or_insert(idx);
+        Ok(())
+    }
+
+    /// Removes a name from a branch (never its last). Requires `m`.
+    pub(crate) fn remove_name(
+        &mut self,
+        dir: SegUid,
+        name: &str,
+        user: &UserId,
+    ) -> Result<(), FsError> {
+        self.require(dir, user, 'm')?;
+        let node = self.dir_mut(dir)?;
+        let (pos, _) = node.find_name(name);
+        let idx = pos.ok_or_else(|| FsError::NotFound(name.into()))?;
+        if node.branches[idx].names.len() == 1 {
+            return Err(FsError::LastName);
+        }
+        node.branches[idx].names.retain(|n| n != name);
+        node.reindex();
+        Ok(())
+    }
+
+    /// The caller's effective mode on the segment branch `name` in `dir`
+    /// (no directory permission needed: access to a segment is governed by
+    /// the segment's own ACL).
+    fn segment_access(&self, dir: SegUid, name: &str, user: &UserId) -> Result<AclMode, FsError> {
+        self.trace_acl_check(user, format!("segment {name} in dir {}", dir.0));
+        let b = self.peek_branch(dir, name).ok_or(FsError::NoInfo)?;
+        match &b.kind {
+            BranchKind::Segment { acl, .. } => Ok(acl.effective(user).unwrap_or(AclMode::NULL)),
+            BranchKind::Directory { .. } => Err(FsError::WrongKind(name.into())),
+        }
     }
 }
 

@@ -65,7 +65,7 @@ pub enum TearMode {
 
 impl TearMode {
     /// The eight plan-reachable tears, in detail-mapping order.
-    pub const DAMAGE: [TearMode; 8] = [
+    const DAMAGE: [TearMode; 8] = [
         TearMode::DuplicateEntry,
         TearMode::LoseNode,
         TearMode::LoseBranch,
@@ -77,7 +77,7 @@ impl TearMode {
     ];
 
     /// Maps a fault event's detail payload onto a plan-reachable tear.
-    pub fn from_detail(detail: u64) -> TearMode {
+    fn from_detail(detail: u64) -> TearMode {
         TearMode::DAMAGE[(detail % 8) as usize]
     }
 

@@ -36,7 +36,7 @@ pub struct Ptw {
 
 impl Ptw {
     /// A PTW for a page that has never been touched.
-    pub const EMPTY: Ptw = Ptw {
+    const EMPTY: Ptw = Ptw {
         state: PageState::NotInCore,
         used: false,
         modified: false,

@@ -62,7 +62,7 @@ pub struct CostModel {
 
 impl CostModel {
     /// The cost model for a given CPU generation.
-    pub fn for_model(model: CpuModel) -> CostModel {
+    pub(crate) fn for_model(model: CpuModel) -> CostModel {
         match model {
             // The 645: rings simulated by supervisor software. Crossing a
             // ring boundary faults into the ring-simulation code.

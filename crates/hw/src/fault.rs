@@ -95,7 +95,8 @@ pub enum AttemptKind {
 impl Fault {
     /// True for the "directed" faults that the supervisor plants on purpose
     /// and services transparently (the reference is retried after service).
-    pub fn is_directed(&self) -> bool {
+    #[cfg(test)]
+    fn is_directed(&self) -> bool {
         matches!(
             self,
             Fault::MissingSegment { .. } | Fault::MissingPage { .. } | Fault::LinkageFault { .. }
@@ -118,7 +119,8 @@ impl Fault {
     }
 
     /// True for faults that signal an attempted protection violation.
-    pub fn is_violation(&self) -> bool {
+    #[cfg(test)]
+    fn is_violation(&self) -> bool {
         matches!(
             self,
             Fault::AccessViolation { .. }

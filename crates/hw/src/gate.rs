@@ -72,8 +72,6 @@ pub mod rings {
     pub const KERNEL: RingNo = 0;
     /// The second kernel layer (the paper's partitioning proposal).
     pub const SUPERVISOR: RingNo = 1;
-    /// Ordinary user programs.
-    pub const USER: RingNo = 4;
     /// The outermost ring usable by constrained subsystems.
     pub const OUTER: RingNo = 7;
 }

@@ -170,7 +170,7 @@ impl InjectKind {
 
     /// The original seven corruption kinds, in discriminant order — the
     /// draw set of [`FaultPlan::generate`].
-    pub const LEGACY: [InjectKind; NR_LEGACY_KINDS] = [
+    const LEGACY: [InjectKind; NR_LEGACY_KINDS] = [
         InjectKind::DropWakeup,
         InjectKind::SlowDisk,
         InjectKind::FailDisk,
@@ -183,7 +183,7 @@ impl InjectKind {
     /// The four resource-exhaustion kinds plus the crash boundary — the
     /// draw set of [`FaultPlan::generate_overload`]. Crash rides along so
     /// overload sweeps also exercise mid-overload recovery.
-    pub const OVERLOAD: [InjectKind; 5] = [
+    const OVERLOAD: [InjectKind; 5] = [
         InjectKind::FrameFamine,
         InjectKind::AstExhaust,
         InjectKind::QuotaStorm,
@@ -489,7 +489,8 @@ impl InjectorHandle {
 
     /// How many times `kind`'s site class has been consulted since the
     /// last arm.
-    pub fn site_hits(&self, kind: InjectKind) -> u64 {
+    #[cfg(test)]
+    fn site_hits(&self, kind: InjectKind) -> u64 {
         self.0.borrow().sites[kind.index()].hits
     }
 }

@@ -247,7 +247,8 @@ impl LockOrderHandle {
     }
 
     /// Locks currently held (should be 0 between operations).
-    pub fn held_depth(&self) -> usize {
+    #[cfg(test)]
+    fn held_depth(&self) -> usize {
         self.0.borrow().held.len()
     }
 

@@ -67,7 +67,6 @@ pub struct Machine {
     /// rank violations and cycles (see [`crate::lockorder`]).
     pub locks: LockOrderHandle,
     faults_taken: u64,
-    calls_made: u64,
     ring_crossings: u64,
 }
 
@@ -99,19 +98,14 @@ impl Machine {
             inject: InjectorHandle::disarmed(),
             locks: LockOrderHandle::new(),
             faults_taken: 0,
-            calls_made: 0,
             ring_crossings: 0,
         }
     }
 
     /// Total faults the machine has raised (directed or otherwise).
-    pub fn faults_taken(&self) -> u64 {
+    #[cfg(test)]
+    fn faults_taken(&self) -> u64 {
         self.faults_taken
-    }
-
-    /// Total calls executed.
-    pub fn calls_made(&self) -> u64 {
-        self.calls_made
     }
 
     /// Total ring crossings executed.
@@ -311,7 +305,6 @@ impl Machine {
                 offset: entry_offset,
             }));
         }
-        self.calls_made += 1;
         self.trace.counter_add("hw.calls", 1);
         match sdw.brackets.classify_call(seg, from_ring) {
             Ok(CallEffect::SameRing) => {
@@ -378,7 +371,7 @@ impl Machine {
 /// consulted, so equal configurations boot equal recorders everywhere.
 /// Capacity zero is clamped to 1 — a ringless recorder cannot honor the
 /// metering contract.
-pub fn resolve_trace_capacity(explicit: Option<usize>) -> usize {
+fn resolve_trace_capacity(explicit: Option<usize>) -> usize {
     explicit.unwrap_or(mks_trace::DEFAULT_RING_CAPACITY).max(1)
 }
 

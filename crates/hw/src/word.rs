@@ -10,7 +10,7 @@
 pub struct Word(u64);
 
 /// Number of value bits in a machine word.
-pub const WORD_BITS: u32 = 36;
+const WORD_BITS: u32 = 36;
 
 /// Mask selecting the 36 value bits of a word.
 pub const WORD_MASK: u64 = (1 << WORD_BITS) - 1;

@@ -25,7 +25,6 @@ pub struct CircularBuffer<T> {
     overwrites: u64,
     stored: u64,
     consumed: u64,
-    trace: Option<mks_trace::TraceHandle>,
 }
 
 impl<T> CircularBuffer<T> {
@@ -43,20 +42,6 @@ impl<T> CircularBuffer<T> {
             overwrites: 0,
             stored: 0,
             consumed: 0,
-            trace: None,
-        }
-    }
-
-    /// Connects the buffer to the kernel flight recorder so stores,
-    /// overwrites and consumes are counted and logged.
-    pub fn attach_trace(&mut self, trace: mks_trace::TraceHandle) {
-        self.trace = Some(trace);
-    }
-
-    fn trace_op(&self, counter: &str, detail: &'static str) {
-        if let Some(t) = &self.trace {
-            t.counter_add(counter, 1);
-            t.event(mks_trace::Layer::Io, mks_trace::EventKind::BufferOp, detail);
         }
     }
 
@@ -79,7 +64,6 @@ impl<T> CircularBuffer<T> {
     /// producer is an interrupt handler — it cannot wait).
     pub fn push(&mut self, msg: T) -> PushOutcome {
         self.stored += 1;
-        self.trace_op("io.buffer.stored", "push");
         let cap = self.slots.len();
         let outcome = if self.len == cap {
             // Lap the consumer: destroy the oldest.
@@ -87,7 +71,6 @@ impl<T> CircularBuffer<T> {
             self.head = (self.head + 1) % cap;
             self.len -= 1;
             self.overwrites += 1;
-            self.trace_op("io.buffer.overwrites", "overwrote oldest");
             PushOutcome::OverwroteOldest
         } else {
             PushOutcome::Stored
@@ -109,7 +92,6 @@ impl<T> CircularBuffer<T> {
         self.head = (self.head + 1) % self.slots.len();
         self.len -= 1;
         self.consumed += 1;
-        self.trace_op("io.buffer.consumed", "pop");
         Some(msg)
     }
 

@@ -42,8 +42,6 @@ impl<W> Default for Channel<W> {
 pub struct EventTable<W> {
     channels: HashMap<EventId, Channel<W>>,
     next_id: u64,
-    wakeups_sent: u64,
-    wakeups_pending_consumed: u64,
 }
 
 impl<W> Default for EventTable<W> {
@@ -51,8 +49,6 @@ impl<W> Default for EventTable<W> {
         EventTable {
             channels: HashMap::new(),
             next_id: 0,
-            wakeups_sent: 0,
-            wakeups_pending_consumed: 0,
         }
     }
 }
@@ -80,7 +76,6 @@ impl<W: Copy + PartialEq> EventTable<W> {
         let ch = self.channels.entry(event).or_default();
         if ch.pending {
             ch.pending = false;
-            self.wakeups_pending_consumed += 1;
             true
         } else {
             ch.waiters.push(vp);
@@ -91,7 +86,6 @@ impl<W: Copy + PartialEq> EventTable<W> {
     /// Sends a wakeup on `event`. Returns the waiters to make ready; if
     /// there were none, the wakeup-waiting switch is set instead.
     pub fn wakeup(&mut self, event: EventId) -> Vec<W> {
-        self.wakeups_sent += 1;
         let ch = self.channels.entry(event).or_default();
         if ch.waiters.is_empty() {
             ch.pending = true;
@@ -102,32 +96,10 @@ impl<W: Copy + PartialEq> EventTable<W> {
     }
 
     /// Removes `vp` from any wait queues (used when destroying a process).
-    pub fn cancel_waits(&mut self, vp: W) {
+    pub(crate) fn cancel_waits(&mut self, vp: W) {
         for ch in self.channels.values_mut() {
             ch.waiters.retain(|w| *w != vp);
         }
-    }
-
-    /// Diagnostic: channels with waiters, in channel order.
-    pub fn waiter_report(&self) -> Vec<(EventId, Vec<W>)> {
-        let mut v: Vec<(EventId, Vec<W>)> = self
-            .channels
-            .iter()
-            .filter(|(_, ch)| !ch.waiters.is_empty())
-            .map(|(id, ch)| (*id, ch.waiters.clone()))
-            .collect();
-        v.sort_by_key(|(id, _)| *id);
-        v
-    }
-
-    /// Total wakeups sent since creation.
-    pub fn wakeups_sent(&self) -> u64 {
-        self.wakeups_sent
-    }
-
-    /// How many blocks completed immediately off the pending switch.
-    pub fn pending_consumed(&self) -> u64 {
-        self.wakeups_pending_consumed
     }
 }
 

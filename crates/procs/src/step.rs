@@ -49,7 +49,8 @@ impl<'a, C> Effects<'a, C> {
     }
 
     /// Number of wakeups queued so far in this step (for tests/metrics).
-    pub fn queued_wakeups(&self) -> usize {
+    #[cfg(test)]
+    fn queued_wakeups(&self) -> usize {
         self.wakeups.len()
     }
 }

@@ -319,14 +319,9 @@ impl<C: HasMachine> TrafficController<C> {
         true
     }
 
-    /// Diagnostic: every event channel somebody is blocked on, with its
-    /// waiters — what an operator reads when the system looks wedged.
-    pub fn blocked_report(&self) -> Vec<(EventId, Vec<Waiter>)> {
-        self.events.waiter_report()
-    }
-
     /// Number of shared slots currently free.
-    pub fn free_shared_slots(&self) -> usize {
+    #[cfg(test)]
+    fn free_shared_slots(&self) -> usize {
         self.vprocs
             .iter()
             .filter(|v| v.binding == VpBinding::Free)
@@ -629,11 +624,6 @@ impl<C: HasMachine> TrafficController<C> {
             SchedMode::GlobalQueue => self.vp_ready.len(),
             SchedMode::WorkStealing { .. } => self.cpu_queues.iter().map(VecDeque::len).sum(),
         }
-    }
-
-    /// Diagnostic: per-CPU run-queue depths (empty in global mode).
-    pub fn queue_depths(&self) -> Vec<usize> {
-        self.cpu_queues.iter().map(VecDeque::len).collect()
     }
 
     /// One dispatch round: layer-2 binding, then up to `nr_cpus` dispatches.

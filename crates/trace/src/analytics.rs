@@ -94,7 +94,7 @@ impl AlertKind {
     }
 
     /// Parses a name produced by [`AlertKind::as_str`].
-    pub fn from_str_opt(s: &str) -> Option<AlertKind> {
+    pub(crate) fn from_str_opt(s: &str) -> Option<AlertKind> {
         match s {
             "denial_burst" => Some(AlertKind::DenialBurst),
             "label_raise" => Some(AlertKind::LabelRaise),
@@ -233,12 +233,6 @@ impl Observatory {
         self.cfg
     }
 
-    /// Reconfigures the bounds (existing state is kept; new caps apply
-    /// from the next sample on).
-    pub fn set_config(&mut self, cfg: ObservatoryConfig) {
-        self.cfg = cfg;
-    }
-
     fn push_alert(&mut self, alert: Alert) {
         if self.alerts.len() < self.cfg.alert_cap {
             self.alerts.push(alert);
@@ -315,7 +309,7 @@ impl Observatory {
     /// Taps the trace stream: gate heat and label-raise surveillance.
     /// Called by the flight recorder on append, *before* sampling, so
     /// analytics see every event regardless of ring policy.
-    pub fn ingest_record(&mut self, record: &TraceRecord) {
+    pub(crate) fn ingest_record(&mut self, record: &TraceRecord) {
         match record.kind {
             EventKind::GateTransfer => {
                 self.hot_gates.record(&record.detail, 1);
@@ -331,15 +325,6 @@ impl Observatory {
             }
             _ => {}
         }
-    }
-
-    /// Denials currently inside `principal`'s window, as of the last
-    /// sample ingested for it (saturated at the burst threshold).
-    pub fn window_denials(&self, principal: &str) -> u64 {
-        self.principals
-            .get(principal)
-            .map(|w| w.denials.len() as u64)
-            .unwrap_or(0)
     }
 
     /// Per-principal rates, principal-ordered (bounded by the cap).
@@ -362,12 +347,12 @@ impl Observatory {
     }
 
     /// Alerts lost to the registry cap.
-    pub fn alerts_dropped(&self) -> u64 {
+    pub(crate) fn alerts_dropped(&self) -> u64 {
         self.alerts_dropped
     }
 
     /// Samples not windowed because the principal cap was reached.
-    pub fn untracked(&self) -> u64 {
+    pub(crate) fn untracked(&self) -> u64 {
         self.untracked
     }
 
@@ -377,7 +362,7 @@ impl Observatory {
     }
 
     /// Hottest gate targets on the trace stream.
-    pub fn hot_gates(&self) -> &TopK {
+    pub(crate) fn hot_gates(&self) -> &TopK {
         &self.hot_gates
     }
 

@@ -47,7 +47,8 @@ impl Clock {
     /// (possibly unchanged) current time. Used by event-driven device models
     /// that complete at an absolute deadline.
     #[inline]
-    pub fn advance_to(&self, target: Cycles) -> Cycles {
+    #[cfg(test)]
+    fn advance_to(&self, target: Cycles) -> Cycles {
         if target > self.0.get() {
             self.0.set(target);
         }

@@ -112,6 +112,12 @@ impl SplitMix64 {
     pub fn below(&mut self, bound: u64) -> u64 {
         self.next_u64() % bound
     }
+
+    /// Uniform value in `[0, 1)`: the next value's top 53 bits.
+    #[inline]
+    pub fn unit_f64(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
 }
 
 /// A hasher for kernel-assigned integer ids (pids, segment uids and
@@ -204,6 +210,14 @@ mod tests {
         assert_eq!(r.next_u64(), 0xe220_a839_7b1d_cdaf);
         assert_eq!(r.next_u64(), 0x6e78_9e6a_a1b9_65f4);
         assert_eq!(splitmix64_mix(GOLDEN_GAMMA), 0xe220_a839_7b1d_cdaf);
+    }
+
+    #[test]
+    fn unit_f64_is_the_top_53_bits_of_the_next_value() {
+        // The same two draws as above, scaled by 2^-53 (exact in f64).
+        let mut r = SplitMix64::new(0);
+        assert_eq!(r.unit_f64(), 0.883_310_808_213_642_6);
+        assert_eq!(r.unit_f64(), 0.431_527_997_048_509_97);
     }
 
     #[test]

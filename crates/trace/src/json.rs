@@ -28,7 +28,7 @@ impl Value {
     }
 
     /// The integer inside, if this is a number.
-    pub fn as_num(&self) -> Option<u128> {
+    pub(crate) fn as_num(&self) -> Option<u128> {
         match self {
             Value::Num(n) => Some(*n),
             _ => None,
@@ -36,7 +36,7 @@ impl Value {
     }
 
     /// The integer inside as u64, if this is a number that fits.
-    pub fn as_u64(&self) -> Option<u64> {
+    pub(crate) fn as_u64(&self) -> Option<u64> {
         self.as_num().and_then(|n| u64::try_from(n).ok())
     }
 

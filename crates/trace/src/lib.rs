@@ -45,7 +45,7 @@ pub mod span;
 
 use std::borrow::Cow;
 use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use digest::fnv64;
@@ -73,9 +73,6 @@ use span::OpenSpan;
 /// experiment's hot section fits.
 pub const DEFAULT_RING_CAPACITY: usize = 4096;
 
-/// How many completed root span trees are kept for inspection.
-const KEPT_ROOT_SPANS: usize = 16;
-
 /// The flight recorder proper. Use through a [`TraceHandle`].
 #[derive(Debug)]
 pub struct FlightRecorder {
@@ -83,7 +80,7 @@ pub struct FlightRecorder {
     ring: TraceRing,
     metrics: MetricsRegistry,
     open: Vec<OpenSpan>,
-    recent_roots: VecDeque<SpanNode>,
+    last_root: Option<SpanNode>,
     layer_totals: BTreeMap<Layer, LayerTotals>,
     next_span: u64,
     /// Events offered to the recorder (drives the sampling coin; unlike
@@ -105,7 +102,7 @@ impl FlightRecorder {
             ring: TraceRing::new(capacity),
             metrics: MetricsRegistry::new(),
             open: Vec::new(),
-            recent_roots: VecDeque::new(),
+            last_root: None,
             layer_totals: BTreeMap::new(),
             next_span: 0,
             events_seen: 0,
@@ -214,10 +211,7 @@ impl FlightRecorder {
                     // A root completed: fold the whole tree into the
                     // per-layer totals and keep it for inspection.
                     node.accumulate(&mut self.layer_totals);
-                    self.recent_roots.push_back(node);
-                    if self.recent_roots.len() > KEPT_ROOT_SPANS {
-                        self.recent_roots.pop_front();
-                    }
+                    self.last_root = Some(node);
                 }
             }
         }
@@ -397,11 +391,6 @@ impl TraceHandle {
             .unwrap_or(0)
     }
 
-    /// A copy of a named quantile sketch, if it exists.
-    pub fn quantile_sketch(&self, name: &str) -> Option<QuantileSketch> {
-        self.0.borrow().quantiles.get(name).cloned()
-    }
-
     /// Installs a head-sampling policy for verbatim ring records.
     /// Aggregation (counters, quantiles, observatory) is unaffected;
     /// security-critical records bypass sampling unconditionally.
@@ -419,11 +408,6 @@ impl TraceHandle {
     /// are appended — so the analytics see the same stream the log does.
     pub fn ingest_audit(&self, sample: &AuditSample) {
         self.0.borrow_mut().observatory.ingest_audit(sample);
-    }
-
-    /// Reconfigures the observatory's bounds and thresholds.
-    pub fn set_observatory_config(&self, cfg: ObservatoryConfig) {
-        self.0.borrow_mut().observatory.set_config(cfg);
     }
 
     /// Runs `f` with read access to the observatory (alerts, rates,
@@ -451,12 +435,7 @@ impl TraceHandle {
 
     /// The most recently completed *root* span tree, if any.
     pub fn last_root_span(&self) -> Option<SpanNode> {
-        self.0.borrow().recent_roots.back().cloned()
-    }
-
-    /// Recently completed root span trees, oldest first (bounded).
-    pub fn recent_root_spans(&self) -> Vec<SpanNode> {
-        self.0.borrow().recent_roots.iter().cloned().collect()
+        self.0.borrow().last_root.clone()
     }
 
     /// Copies out the ring contents, oldest first.

@@ -44,7 +44,7 @@ impl Histogram {
     }
 
     /// Which bucket `value` falls in.
-    pub fn bucket_of(value: Cycles) -> usize {
+    pub(crate) fn bucket_of(value: Cycles) -> usize {
         (64 - value.leading_zeros()) as usize
     }
 
@@ -73,7 +73,7 @@ impl Histogram {
     }
 
     /// Non-empty buckets as `(bucket index, count)` pairs.
-    pub fn nonzero_buckets(&self) -> Vec<(usize, u64)> {
+    pub(crate) fn nonzero_buckets(&self) -> Vec<(usize, u64)> {
         self.buckets
             .iter()
             .enumerate()

@@ -32,7 +32,7 @@ use crate::digest::{SplitMix64, GOLDEN_GAMMA};
 pub const SUBBUCKETS: u64 = 16;
 
 /// Exemplar reservoir capacity per sketch.
-pub const NR_EXEMPLARS: usize = 4;
+const NR_EXEMPLARS: usize = 4;
 
 /// One concrete observation kept to explain a tail bucket.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -67,7 +67,7 @@ pub struct QuantileSketch {
 
 /// Which bucket `value` lands in: exact below [`SUBBUCKETS`], then
 /// [`SUBBUCKETS`] linear sub-buckets per octave.
-pub fn bucket_of(value: Cycles) -> usize {
+pub(crate) fn bucket_of(value: Cycles) -> usize {
     if value < SUBBUCKETS {
         return value as usize;
     }
@@ -78,7 +78,7 @@ pub fn bucket_of(value: Cycles) -> usize {
 
 /// The smallest value that maps to `bucket` — what quantile estimates
 /// report, so estimates never exceed the true order statistic.
-pub fn bucket_floor(bucket: usize) -> Cycles {
+fn bucket_floor(bucket: usize) -> Cycles {
     let b = bucket as u64;
     if b < SUBBUCKETS {
         return b;

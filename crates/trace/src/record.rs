@@ -51,7 +51,7 @@ impl Layer {
     /// Parses a name produced by [`Layer::name`]. Inverts `name` by
     /// construction: it searches [`Layer::ALL`] instead of repeating the
     /// string table.
-    pub fn from_str_opt(s: &str) -> Option<Layer> {
+    pub(crate) fn from_str_opt(s: &str) -> Option<Layer> {
         Layer::ALL.into_iter().find(|l| l.name() == s)
     }
 

@@ -54,7 +54,7 @@ pub struct Sampler {
 }
 
 /// Is this record one the surveillance function cannot afford to lose?
-pub fn is_critical(kind: EventKind, detail: &str) -> bool {
+fn is_critical(kind: EventKind, detail: &str) -> bool {
     match kind {
         EventKind::FaultDispatch | EventKind::LabelRaise => true,
         // Denials and sheds ride the Verdict kind; grants are routine.
@@ -70,7 +70,7 @@ impl Sampler {
     }
 
     /// Installs a policy (rate is clamped to ≥ 1).
-    pub fn set_policy(&mut self, mut policy: SamplePolicy) {
+    pub(crate) fn set_policy(&mut self, mut policy: SamplePolicy) {
         policy.keep_one_in = policy.keep_one_in.max(1);
         self.policy = policy;
     }

@@ -34,7 +34,7 @@ pub struct HistogramSnapshot {
 
 impl HistogramSnapshot {
     /// Captures a histogram under its registry name.
-    pub fn capture(name: &str, h: &Histogram) -> HistogramSnapshot {
+    pub(crate) fn capture(name: &str, h: &Histogram) -> HistogramSnapshot {
         HistogramSnapshot {
             name: name.to_string(),
             count: h.count(),
@@ -97,7 +97,7 @@ pub struct QuantileSnapshot {
 
 impl QuantileSnapshot {
     /// Captures a sketch under its registry name.
-    pub fn capture(name: &str, q: &QuantileSketch) -> QuantileSnapshot {
+    pub(crate) fn capture(name: &str, q: &QuantileSketch) -> QuantileSnapshot {
         QuantileSnapshot {
             name: name.to_string(),
             count: q.count(),
@@ -131,7 +131,7 @@ pub struct SamplerSnapshot {
 
 impl SamplerSnapshot {
     /// Captures the sampler's policy and accounting.
-    pub fn capture(s: &Sampler) -> SamplerSnapshot {
+    pub(crate) fn capture(s: &Sampler) -> SamplerSnapshot {
         SamplerSnapshot {
             keep_one_in: s.policy().keep_one_in,
             seed: s.policy().seed,
@@ -155,7 +155,7 @@ pub struct TopKSnapshot {
 
 impl TopKSnapshot {
     /// Captures a sketch, ranked.
-    pub fn capture(t: &TopK) -> TopKSnapshot {
+    pub(crate) fn capture(t: &TopK) -> TopKSnapshot {
         TopKSnapshot {
             seen: t.seen(),
             capacity: t.capacity() as u64,
@@ -189,7 +189,7 @@ pub struct ObservatorySnapshot {
 
 impl ObservatorySnapshot {
     /// Captures the observatory read-only.
-    pub fn capture(o: &Observatory) -> ObservatorySnapshot {
+    pub(crate) fn capture(o: &Observatory) -> ObservatorySnapshot {
         ObservatorySnapshot {
             window: o.config().window,
             burst_threshold: o.config().burst_threshold,

@@ -112,7 +112,7 @@ impl VmWorld {
     /// and feeds both fault-path histograms, as one atomic step —
     /// which is what keeps `VmStats.faults` and the histogram counts
     /// in exact agreement.
-    pub fn record_fault_path(&self, steps: u32, latency: Cycles) {
+    pub(crate) fn record_fault_path(&self, steps: u32, latency: Cycles) {
         let trace = &self.machine.trace;
         trace.counter_add(stats::keys::FAULTS, 1);
         trace.observe(stats::keys::FAULT_STEPS, u64::from(steps));
@@ -137,7 +137,7 @@ impl VmWorld {
 
     /// Returns a frame to the free pool, scrubbing it first so no residue
     /// can leak to the next user (a kernel obligation, not an optimization).
-    pub fn release_frame(&mut self, frame: FrameId) {
+    pub(crate) fn release_frame(&mut self, frame: FrameId) {
         self.machine.mem.zero_frame(frame);
         self.free_frames.push(frame);
     }

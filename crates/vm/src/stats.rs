@@ -19,21 +19,21 @@ pub mod keys {
     /// Missing-page faults serviced (counter).
     pub const FAULTS: &str = "vm.faults";
     /// Pages loaded into primary memory (counter).
-    pub const LOADS: &str = "vm.loads";
+    pub(crate) const LOADS: &str = "vm.loads";
     /// Pages created by zero-fill (counter).
-    pub const ZERO_FILLS: &str = "vm.zero_fills";
+    pub(crate) const ZERO_FILLS: &str = "vm.zero_fills";
     /// Evictions from primary memory to the bulk store (counter).
-    pub const EVICTIONS_CORE: &str = "vm.evictions_core";
+    pub(crate) const EVICTIONS_CORE: &str = "vm.evictions_core";
     /// Evictions from the bulk store to disk (counter).
-    pub const EVICTIONS_BULK: &str = "vm.evictions_bulk";
+    pub(crate) const EVICTIONS_BULK: &str = "vm.evictions_bulk";
     /// Frames freed without write-back (counter).
-    pub const CLEAN_DROPS: &str = "vm.clean_drops";
+    pub(crate) const CLEAN_DROPS: &str = "vm.clean_drops";
     /// Times a faulting process waited for a free frame (counter).
-    pub const FAULT_WAITS: &str = "vm.fault_waits";
+    pub(crate) const FAULT_WAITS: &str = "vm.fault_waits";
     /// Per-fault path step counts (histogram).
-    pub const FAULT_STEPS: &str = "vm.fault_steps";
+    pub(crate) const FAULT_STEPS: &str = "vm.fault_steps";
     /// Per-fault service latency in cycles (histogram).
-    pub const FAULT_LATENCY: &str = "vm.fault_latency";
+    pub(crate) const FAULT_LATENCY: &str = "vm.fault_latency";
 }
 
 /// Counters kept by both page-control designs. Experiment E5 compares the
@@ -68,7 +68,7 @@ impl VmStats {
     /// Materializes the view from the live registry (the read half of
     /// the flight-recorder contract; the write half is in
     /// `VmWorld::record_fault_path` and the `bump` sites).
-    pub fn from_registry(reg: &MetricsRegistry) -> VmStats {
+    pub(crate) fn from_registry(reg: &MetricsRegistry) -> VmStats {
         let steps = reg.histogram(keys::FAULT_STEPS);
         let latency = reg.histogram(keys::FAULT_LATENCY);
         VmStats {
@@ -90,7 +90,8 @@ impl VmStats {
     /// distinct actions and `latency` cycles. (On the live path this
     /// accumulation happens in the registry; the method remains for
     /// building expected values in tests.)
-    pub fn record_fault_path(&mut self, steps: u32, latency: Cycles) {
+    #[cfg(test)]
+    fn record_fault_path(&mut self, steps: u32, latency: Cycles) {
         self.faults += 1;
         self.fault_path_steps_total += u64::from(steps);
         self.fault_path_steps_max = self.fault_path_steps_max.max(steps);
